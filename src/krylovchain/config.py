@@ -13,7 +13,7 @@ from typing import Any, Dict, List, Optional
 
 from .closedforms import SpectralModel, spectral_model_sequence
 from .errors import SchemaError
-from .evolve import EvolveConfig
+from .evolve import METHODS, EvolveConfig
 from .sequences import (
     Constant,
     ConstantWithFirst,
@@ -130,7 +130,7 @@ _EVOLVE_KEYS = {
     "truncation_tol": (False, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
     "guard_band": (False, lambda v: _is_int(v) and v >= 4, "integer >= 4"),
     "max_active_size": (False, lambda v: _is_int(v) and v >= 16, "integer >= 16"),
-    "method": (False, lambda v: v in ("trapezoidal", "rk45"), "'trapezoidal' or 'rk45'"),
+    "method": (False, lambda v: v in METHODS, "one of " + ", ".join(METHODS)),
     "log_decades": (False, _is_pos, "positive number"),
 }
 

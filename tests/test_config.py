@@ -111,6 +111,13 @@ def test_spectral_model_alpha_xor_omega0():
 def test_build_evolve_config():
     cfg = build_evolve_config({"t_max": 1.5, "samples": 7, "method": "rk45"})
     assert cfg.t_max == 1.5 and cfg.samples == 7 and cfg.method == "rk45"
+    # the schema and EvolveConfig accept the same method names
+    for method in ("cayley4", "trapezoidal", "rk45"):
+        parse_config({"evolve": {"t_max": 1.0, "method": method}})
+        assert build_evolve_config({"t_max": 1.0, "method": method}).method == method
+    with pytest.raises(SchemaError) as info:
+        parse_config({"evolve": {"t_max": 1.0, "method": "pade4"}})
+    assert info.value.pointer == "/evolve/method"
 
 
 def test_moments_section():

@@ -171,27 +171,84 @@ def test_time_reversal():
 
 def test_phi0_parity():
     # phi_0(t) is even in t; checked by a genuine small negative-time
-    # integration with the low-level Cayley update
-    from krylovchain.evolve import _TrapezoidalStepper, _Window
+    # integration with the low-level Cayley update of each composition
+    from krylovchain.evolve import _CayleyStepper, _TrapezoidalStepper, _Window
 
-    cfg = EvolveConfig(t_max=1.0, samples=2)
-    runs = {}
-    for sign in (+1.0, -1.0):
-        w = _Window(SqrtGrowth(1.0), cfg, None)
-        w.resize(80)
-        stp = _TrapezoidalStepper(w, cfg)
-        for _ in range(500):
-            w.y = stp._apply(sign * 1e-3, w.y)
-        runs[sign] = w.y.copy()
-    pos, neg = runs[1.0], runs[-1.0]
-    assert neg[0] == pytest.approx(pos[0], abs=1e-12)
-    # and site parity phi_n(-t) = (-1)^n phi_n(t)
-    signs = (-1.0) ** np.arange(len(pos))
-    assert np.max(np.abs(neg - signs * pos)) < 1e-12
-    # quadratic small-t law: 1 - phi_0(t) -> mu_2 t^2 / 2
-    small = EvolveConfig(t_max=1e-3, samples=2)
-    st = list(evolve(SqrtGrowth(1.0), small))[-1]
-    assert 1.0 - st.amplitudes[0] == pytest.approx(0.5 * 1e-6, rel=1e-3)
+    for method in ("trapezoidal", "cayley4"):
+        cfg = EvolveConfig(t_max=1.0, samples=2, method=method)
+        stepper = _TrapezoidalStepper if method == "trapezoidal" else _CayleyStepper
+        runs = {}
+        for sign in (+1.0, -1.0):
+            w = _Window(SqrtGrowth(1.0), cfg, None)
+            w.resize(80)
+            stp = stepper(w, cfg)
+            for _ in range(500):
+                w.y = stp._apply(sign * 1e-3, w.y)
+            runs[sign] = w.y.copy()
+        pos, neg = runs[1.0], runs[-1.0]
+        assert neg[0] == pytest.approx(pos[0], abs=1e-12), method
+        # and site parity phi_n(-t) = (-1)^n phi_n(t)
+        signs = (-1.0) ** np.arange(len(pos))
+        assert np.max(np.abs(neg - signs * pos)) < 1e-12, method
+        # quadratic small-t law: 1 - phi_0(t) -> mu_2 t^2 / 2
+        small = EvolveConfig(t_max=1e-3, samples=2, method=method)
+        st = list(evolve(SqrtGrowth(1.0), small))[-1]
+        assert 1.0 - st.amplitudes[0] == pytest.approx(0.5 * 1e-6, rel=1e-3), method
+
+
+@pytest.mark.parametrize("method,ratio", [("trapezoidal", 4.0), ("cayley4", 16.0)])
+def test_fixed_step_order(method, ratio):
+    # global error at fixed step h scales as h^order against the su(2) closed form
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    t_end = 2.0
+    cfg = EvolveConfig(t_max=t_end, method=method)
+    ref = np.array([su2_wavefunction(1.0, 2.0, n, t_end) for n in range(5)])
+    errs = []
+    for steps in (20, 40):
+        w = _Window(Su2(1.0, 2.0), cfg, None)
+        stp = _CayleyStepper(w, cfg)
+        y = w.y
+        for _ in range(steps):
+            y = stp._apply(t_end / steps, y)
+        errs.append(float(np.max(np.abs(y - ref))))
+    assert errs[0] / errs[1] == pytest.approx(ratio, rel=0.25)
+
+
+def test_cayley4_forward_back_round_trip():
+    # each stage is orthogonal and the composition is symmetric, so h then -h
+    # undoes a step up to rounding
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    seq = Explicit(tuple(1.0 + 0.5 * np.sin(np.arange(1, 40))))
+    cfg = EvolveConfig(t_max=1.0, method="cayley4")
+    w = _Window(seq, cfg, None)
+    w.resize(40)
+    assert w.n == 40
+    stp = _CayleyStepper(w, cfg)
+    y = w.y
+    for h in (1e-2, -1e-2):
+        for _ in range(1000):
+            y = stp._apply(h, y)
+        assert abs(float(np.sum(y ** 2)) - 1.0) <= 1e-12
+    start = np.zeros(40)
+    start[0] = 1.0
+    assert np.max(np.abs(y - start)) <= 1e-12
+
+
+def test_factor_cache_bounded_to_current_window():
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    cfg = EvolveConfig(t_max=1.0, method="cayley4")
+    w = _Window(SykLike(1.0, 1.0), cfg, None)
+    stp = _CayleyStepper(w, cfg)
+    for n, h in ((w.n, 0.1), (w.n, 0.05), (3 * w.n, 0.05), (3 * w.n, 0.025)):
+        w.resize(n)
+        w.y = stp._apply(h, w.y)
+        assert len(stp._factors) <= len(set(stp.weights))
+        for weight, (c, bands) in stp._factors.items():
+            assert c == 0.5 * weight * h
+            assert len(bands[1]) == w.n
 
 
 def test_truncation_insensitivity():
@@ -252,6 +309,7 @@ def test_config_validation():
         EvolveConfig(t_max=1.0, rel_tol=2.0)
     with pytest.raises(ValueError):
         EvolveConfig(t_max=1.0, method="verlet")
+    assert EvolveConfig(t_max=1.0).method == "cayley4"
     with pytest.raises(ValueError):
         EvolveConfig(t_max=1.0, sample_times=(0.5, 0.2)).resolve_sample_times()
 
