@@ -41,7 +41,7 @@ from .errors import (
 from .evolve import evolve
 from .fitting import eta_bound_check, fit_log_relation, select_window
 from .moments import MomentSequence, lanczos_to_moments, moments_to_lanczos
-from .observables import ObservableSeries, complexity, entropy, spectral_density_finite
+from .observables import series_from_trajectory, spectral_density_finite
 from .outputs import (
     load_series,
     write_fit_plot,
@@ -76,44 +76,26 @@ def _point_label(index: int, assignment: dict) -> str:
     return f"series_{index:03d}_" + "_".join(parts)
 
 
-def _reduce_stream(states):
-    """Accumulate a streamed trajectory; on resource limit keep what arrived."""
-    cols = ([], [], [], [], [], [])
-    error = None
+def _until_resource_limit(states, errors: list):
+    """Pass states through; on a resource limit stop and record it in errors."""
     try:
-        for st in states:
-            cols[0].append(st.t)
-            cols[1].append(complexity(st))
-            cols[2].append(entropy(st))
-            cols[3].append(float(st.amplitudes[0]))
-            cols[4].append(st.norm_error)
-            cols[5].append(st.active_size)
+        yield from states
     except ResourceLimitError as exc:
-        error = f"resource limit at t={exc.t_reached:.6g}"
-    series = None
-    if cols[0]:
-        series = ObservableSeries(
-            times=tuple(cols[0]),
-            c_k=tuple(cols[1]),
-            s_k=tuple(cols[2]),
-            phi0=tuple(cols[3]),
-            norm_error=tuple(cols[4]),
-            active_size=tuple(cols[5]),
-        )
-    return series, error
+        errors.append(f"resource limit at t={exc.t_reached:.6g}")
 
 
 def _run_one_point(args):
-    """Worker for one sweep point; returns (written paths, error info)."""
+    """Worker for one sweep point; returns (written paths, error messages)."""
     doc, out_dir, formats, index, assignment = args
     point_doc = apply_sweep_point(doc, assignment)
     seq = build_sequence(point_doc["family"])
     cfg = build_evolve_config(point_doc["evolve"])
     label = _point_label(index, assignment)
     written = []
-    series, error = _reduce_stream(evolve(seq, cfg))
+    errors = []
+    series = series_from_trajectory(_until_resource_limit(evolve(seq, cfg), errors))
     out_dir = Path(out_dir)
-    if series is not None and len(series) > 0:
+    if len(series) > 0:
         meta = {"family": point_doc["family"], "sweep_point": assignment}
         if "csv" in formats:
             p = out_dir / f"{label}.csv"
@@ -123,7 +105,7 @@ def _run_one_point(args):
             p = out_dir / f"{label}.json"
             write_series_json(p, series, meta=meta)
             written.append(str(p))
-    return written, error
+    return written, errors
 
 
 def _cmd_evolve(ns) -> int:
@@ -147,7 +129,7 @@ def _cmd_evolve(ns) -> int:
     else:
         results = [_run_one_point(t) for t in tasks]
     written = [Path(p) for paths, _ in results for p in paths]
-    errors = [e for _, e in results if e]
+    errors = [e for _, errs in results for e in errs]
     write_manifest(
         out_dir,
         written,

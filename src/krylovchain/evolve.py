@@ -257,10 +257,14 @@ class _CayleyStepper:
     update is exactly orthogonal, so unresolved high-frequency content
     only accumulates bounded phase mismatch, which a doubling estimator
     misreads as error and answers by collapsing the step to the inverse
-    of the largest hopping in the window.  Steps are snapped to a
-    power-of-two ladder so banded LU factorizations are reused; the cache
-    holds the current window size only, one factorization per distinct
-    stage weight.
+    of the largest hopping in the window.  Every step cuts what remains
+    of the sample interval into the fewest equal steps no longer than h,
+    so steps keep one length and share their LU factorizations.  A
+    factorization is reused while its c matches the stage's to 1e-12
+    relative, and the stage then runs with the cached c, so every stage
+    stays an exact Cayley factor and the clock is off by at most 1e-12 h
+    per step.  The cache holds the current window size only, one
+    factorization per distinct stage weight.
     """
 
     _SAFETY = 3.0
@@ -276,20 +280,20 @@ class _CayleyStepper:
         self._dt_acc_base = (inv_const * tol) ** (1.0 / (order + 1)) / self._SAFETY
 
     def _factor(self, weight: float, c: float):
+        """(c', LU bands of I - c'A), with c' the cached c when it matches c to rounding."""
         n = self.w.n
         if n != self._factors_n:
             self._factors.clear()
             self._factors_n = n
         hit = self._factors.get(weight)
-        if hit is not None and hit[0] == c:
-            return hit[1]
+        if hit is not None and abs(c - hit[0]) <= 1e-12 * abs(c):
+            return hit
         off = self.w.b[: n - 1]
         dl, d, du, du2, ipiv, info = lapack.dgttrf(-c * off, np.ones(n), c * off)
         if info != 0:
             raise RuntimeError(f"dgttrf failed with info={info}")
-        f = (dl, d, du, du2, ipiv)
-        self._factors[weight] = (c, f)
-        return f
+        hit = self._factors[weight] = (c, (dl, d, du, du2, ipiv))
+        return hit
 
     def _stage(self, weight: float, h: float, y: np.ndarray, dy: Optional[np.ndarray]) -> np.ndarray:
         """(I - cA)^-1 (I + cA) y with c = weight h / 2; dy = A y when the caller has it.
@@ -306,7 +310,7 @@ class _CayleyStepper:
             theta = 2.0 * math.atan(c * self.w.b[0])
             cos, sin = math.cos(theta), math.sin(theta)
             return np.array([cos * y[0] - sin * y[1], sin * y[0] + cos * y[1]])
-        dl, d, du, du2, ipiv = self._factor(weight, c)
+        c, (dl, d, du, du2, ipiv) = self._factor(weight, c)
         out, info = lapack.dgttrs(dl, d, du, du2, ipiv, y if dy is None else y + c * dy)
         if info != 0:
             raise RuntimeError(f"dgttrs failed with info={info}")
@@ -343,17 +347,13 @@ class _CayleyStepper:
         return max(num / max(den, 1e-300), 1e-300)
 
     def _pick_dt(self, remaining: float, y: np.ndarray, dy: np.ndarray) -> float:
+        """Length of the fewest equal steps over `remaining` that the step rule allows."""
         dt_acc = self._dt_acc_base / self._rate(y, dy)
-        if dt_acc >= remaining:
-            return remaining
-        # snap down to remaining / 2^k so factorizations are shared
-        k = max(math.ceil(math.log2(remaining / dt_acc)), 0)
-        return remaining / (2.0 ** k)
+        return remaining / math.ceil(remaining / dt_acc)
 
-    def advance(self, t: float, t_target: float, dt_hint: float) -> Tuple[float, float]:
-        """Advance to t_target; returns (t, dt hint for the next interval)."""
+    def advance(self, t: float, t_target: float) -> float:
+        """Advance to t_target; returns the time reached."""
         cfg = self.cfg
-        interval = t_target - t
         eps = 1e-12 * max(1.0, abs(t_target))
         while t < t_target - eps:
             self.w.ensure_headroom()
@@ -361,10 +361,9 @@ class _CayleyStepper:
             # _apply leaves y0 intact for the redo below
             y0 = self.w.y
             dy = _hop(self.w.b[: self.w.n - 1], y0)
-            h_acc = self._pick_dt(interval, y0, dy)
-            if h_acc < 1e-13 * max(1.0, abs(t_target)):
-                raise StiffnessError(t, h_acc, "step size underflow")
-            h = min(h_acc, t_target - t)
+            h = self._pick_dt(t_target - t, y0, dy)
+            if h < 1e-13 * max(1.0, abs(t_target)):
+                raise StiffnessError(t, h, "step size underflow")
             self.w.y = self._apply(h, y0, dy)
             del dy  # free it before a window growth allocates
             t += h
@@ -376,7 +375,7 @@ class _CayleyStepper:
                 restored = np.zeros(self.w.n)
                 restored[: len(y0)] = y0
                 self.w.y = restored
-        return t, dt_hint
+        return t
 
 
 class _TrapezoidalStepper(_CayleyStepper):
@@ -418,13 +417,18 @@ class _RK45Stepper:
     def __init__(self, window: _Window, cfg: EvolveConfig):
         self.w = window
         self.cfg = cfg
+        # step estimate, carried from one sample interval to the next
+        b1 = window.b[0] if len(window.b) else 1.0
+        t_last = cfg.resolve_sample_times()[-1] or cfg.t_max
+        self.dt = min(0.1 / max(b1, 1e-12), t_last / cfg.samples, 0.05)
 
     def _deriv(self, y: np.ndarray) -> np.ndarray:
         return _hop(self.w.b[: self.w.n - 1], y)
 
-    def advance(self, t: float, t_target: float, dt_hint: float) -> Tuple[float, float]:
+    def advance(self, t: float, t_target: float) -> float:
+        """Advance to t_target; returns the time reached."""
         cfg = self.cfg
-        dt = dt_hint
+        dt = self.dt
         while t < t_target - 1e-14 * max(1.0, t_target):
             self.w.ensure_headroom()
             b_max = float(self.w.b.max()) if len(self.w.b) else 1.0
@@ -467,7 +471,8 @@ class _RK45Stepper:
                 dt = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
             else:
                 dt = h * 5.0
-        return t, dt
+        self.dt = dt
+        return t
 
 
 def evolve(
@@ -485,10 +490,8 @@ def evolve(
     times = cfg.resolve_sample_times()
     window = _Window(seq, cfg, initial)
     stepper = (_RK45Stepper if cfg.method == "rk45" else _CayleyStepper)(window, cfg)
-    b1 = window.b[0] if len(window.b) else 1.0
-    dt = min(0.1 / max(b1, 1e-12), (times[-1] or cfg.t_max) / max(cfg.samples, 1), 0.05)
     t = 0.0
     for t_s in times:
         if t_s > t:
-            t, dt = stepper.advance(t, t_s, dt)
+            t = stepper.advance(t, t_s)
         yield window.state(t_s if abs(t - t_s) < 1e-12 else t)

@@ -83,8 +83,6 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
     p = p[p > _UNDERFLOW_GUARD]
     if len(p) == 0:
         return 0.0
-    # summed largest-first so small contributions land on a settled total
-    p = np.sort(p)[::-1]
     return float(-np.sum(p * np.log(p))) + 0.0
 
 

@@ -1,5 +1,6 @@
 """Chain evolution: invariants, closed-form agreement, window policy."""
 
+import importlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from krylovchain import (
     ConstantWithFirst,
     EvolveConfig,
     Explicit,
+    PowerLaw,
     ResourceLimitError,
     SqrtGrowth,
     Su2,
@@ -249,6 +251,89 @@ def test_factor_cache_bounded_to_current_window():
         for weight, (c, bands) in stp._factors.items():
             assert c == 0.5 * weight * h
             assert len(bands[1]) == w.n
+
+
+class _CountingLapack:
+    """scipy's lapack module with dgttrf and dgttrs calls counted."""
+
+    def __init__(self, module):
+        self._module = module
+        self.calls = {"dgttrf": 0, "dgttrs": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(self._module, name)
+        if name not in self.calls:
+            return fn
+
+        def counted(*args):
+            self.calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    module = importlib.import_module("krylovchain.evolve")
+    counter = _CountingLapack(module.lapack)
+    monkeypatch.setattr(module, "lapack", counter)
+    return counter.calls
+
+
+def test_fewest_equal_steps_per_interval(lapack_calls):
+    # a sample interval takes ceil(interval / dt_acc) steps of five Cayley
+    # stages, none longer than the step rule's dt_acc (snapping to
+    # interval / 2^k would take 32 steps here, not 23)
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    cfg = EvolveConfig(t_max=1.35e4 ** 0.5, samples=150, rel_tol=1e-8)
+    w = _Window(PowerLaw(1.0, 0.5), cfg, None)
+    w.resize(4000)  # room enough that no step is redone after a window growth
+    stp = _CayleyStepper(w, cfg)
+    times = cfg.resolve_sample_times()
+    t = stp.advance(0.0, times[1])
+    rule, steps = [], []
+    pick = stp._pick_dt
+
+    def spy(remaining, y, dy):
+        rule.append(stp._dt_acc_base / stp._rate(y, dy))
+        steps.append(pick(remaining, y, dy))
+        return steps[-1]
+
+    stp._pick_dt = spy
+    before = lapack_calls["dgttrs"]
+    interval = times[2] - t
+    stp.advance(t, times[2])
+    assert w.n == 4000
+    assert math.ceil(interval / rule[0]) == 23
+    assert lapack_calls["dgttrs"] - before == 5 * math.ceil(interval / rule[0])
+    assert all(h <= dt for h, dt in zip(steps, rule))
+
+
+def test_factor_reused_across_rounding_level_steps(lapack_calls):
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    times = np.linspace(0.0, 1.0, 4)
+    h1, h2 = times[1] - times[0], times[3] - times[2]
+    assert h1 != h2 and abs(h1 - h2) <= 1e-15  # equal up to rounding
+    cfg = EvolveConfig(t_max=1.0, method="cayley4")
+    w = _Window(SykLike(1.0, 1.0), cfg, None)
+    w.resize(64)
+    stp = _CayleyStepper(w, cfg)
+    dy = rhs(w.state(0.0), SykLike(1.0, 1.0))
+    y1 = stp._apply(h1, w.y, dy)
+    assert lapack_calls["dgttrf"] == len(set(stp.weights))
+    # the second length, and any within 1e-12 relative, runs on the first
+    # one's factors and c, so every stage is the same exact Cayley factor
+    for h in (h2, h1 * (1.0 + 5e-13)):
+        assert np.array_equal(stp._apply(h, w.y, dy), y1)
+    assert lapack_calls["dgttrf"] == len(set(stp.weights))
+    # a step that really differs factors again
+    h3 = h1 * (1.0 + 1e-9)
+    stp._apply(h3, w.y, dy)
+    assert lapack_calls["dgttrf"] == 2 * len(set(stp.weights))
+    for weight, (c, _) in stp._factors.items():
+        assert c == 0.5 * weight * h3
 
 
 def test_truncation_insensitivity():

@@ -22,6 +22,7 @@ from krylovchain import (
     spectral_density_finite,
 )
 from krylovchain.evolve import WaveState
+from krylovchain.observables import entropy_of_probabilities
 
 
 def make_state(amps, t=0.0):
@@ -65,6 +66,17 @@ class TestComplexityEntropy:
         st = list(evolve(SykLike(1.0, 1.0), cfg))[-1]
         assert complexity(st) == pytest.approx(s2, abs=1e-6)
         assert entropy(st) == pytest.approx(s_exact, abs=1e-6)
+
+    def test_entropy_matches_exactly_rounded_sum(self):
+        # numpy's pairwise sum, in array order, against math.fsum of the same
+        # terms: the gap stays within log2(n) roundings of the total
+        rng = np.random.default_rng(7)
+        p = rng.random(200_000) * np.exp(-rng.random(200_000) * 600.0)
+        p /= np.sum(p)
+        terms = -p * np.log(p)
+        exact = math.fsum(terms.tolist())
+        tol = math.log2(len(p)) * np.finfo(float).eps
+        assert entropy_of_probabilities(p) == pytest.approx(exact, rel=tol)
 
     def test_entropy_bound(self):
         cfg = EvolveConfig(t_max=3.0, samples=12)
