@@ -1,7 +1,11 @@
 """Exact reference solutions for the solvable chains.
 
-Everything here is evaluated in log space where factorial-type
-prefactors appear, so large site indices stay finite.  The finite-chain
+Each wave-function closed form is written once and takes the site index
+n as an int or an integer array; the probability profiles are its square
+over np.arange(n_sites).  Factorial-type prefactors are evaluated in log
+space (scipy.special.gammaln), so large site indices stay finite, and the
+Bessel chains use scipy.special.jv.  scipy.special is imported inside the
+functions, which keeps it out of the package import.  The finite-chain
 mode decomposition diagonalizes the (K+1) x (K+1) tridiagonal operator
 and folds the +/- frequency pairs into cosine weights; the model
 spectral density family carries closed-form moments, autocorrelation and
@@ -18,10 +22,11 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import SupportExceededError, UnsupportedFamilyError
+from .evolve import WaveState
 from .moments import MomentSequence, moments_to_lanczos
-from .observables import ObservableSeries, entropy_of_probabilities
+from .observables import ObservableSeries, series_from_trajectory
 from .sequences import StitchedSequence
-from .special import bessel_j_array, log_gamma
+from .special import log_gamma
 
 __all__ = [
     "syk_wavefunction",
@@ -45,45 +50,61 @@ __all__ = [
 ]
 
 
-def syk_wavefunction(alpha: float, eta: float, n: int, t: float) -> float:
+def _orders(n) -> np.ndarray:
+    """Site index n as an integer array (0-d for an int), checked >= 0."""
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError("n must be >= 0")
+    return n
+
+
+def _like(n: np.ndarray, values):
+    """A float for a scalar site index, the array otherwise."""
+    return float(values) if n.ndim == 0 else values
+
+
+def syk_wavefunction(alpha: float, eta: float, n, t: float):
     """phi_n(t) = sqrt(Gamma(n+eta)/(n! Gamma(eta))) tanh^n(at)/cosh^eta(at)."""
+    from scipy.special import gammaln, xlogy
+
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _orders(n)
     x = alpha * t
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    pref = 0.5 * (log_gamma(n + eta) - log_gamma(n + 1.0) - log_gamma(eta))
-    mag = pref + n * math.log(abs(math.tanh(x))) - eta * math.log(math.cosh(x))
-    sign = -1.0 if (x < 0 and n % 2 == 1) else 1.0
-    return sign * math.exp(mag)
+    mag = (
+        0.5 * (gammaln(n + eta) - gammaln(n + 1.0) - gammaln(eta))
+        + xlogy(n, abs(math.tanh(x)))  # 0 ln 0 = 0 gives phi_n(0) = delta_n0
+        - eta * math.log(math.cosh(x))
+    )
+    sign = (-1.0) ** n if x < 0 else 1.0
+    return _like(n, sign * np.exp(mag))
 
 
-def coherent_wavefunction(alpha: float, n: int, t: float) -> float:
+def coherent_wavefunction(alpha: float, n, t: float):
     """phi_n(t) = exp(-a^2 t^2 / 2) (a t)^n / sqrt(n!)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    from scipy.special import gammaln, xlogy
+
+    n = _orders(n)
     x = alpha * t
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    mag = -0.5 * x * x + n * math.log(abs(x)) - 0.5 * log_gamma(n + 1.0)
-    sign = -1.0 if (x < 0 and n % 2 == 1) else 1.0
-    return sign * math.exp(mag)
+    mag = -0.5 * x * x + xlogy(n, abs(x)) - 0.5 * gammaln(n + 1.0)
+    sign = (-1.0) ** n if x < 0 else 1.0
+    return _like(n, sign * np.exp(mag))
 
 
-def su2_wavefunction(alpha: float, j: float, n: int, t: float) -> float:
+def su2_wavefunction(alpha: float, j: float, n, t: float):
     """phi_n(t) = sqrt(C(2j, n)) sin^n(at) cos^(2j-n)(at) on 0 <= n <= 2j."""
+    from scipy.special import gammaln
+
     two_j = int(round(2 * j))
     if two_j < 1 or abs(2 * j - two_j) > 1e-12:
         raise ValueError("j must be a positive integer or half integer")
-    if n < 0 or n > two_j:
-        raise SupportExceededError(n, two_j)
+    n = np.asarray(n)
+    outside = np.flatnonzero((n < 0) | (n > two_j))
+    if outside.size:
+        raise SupportExceededError(int(n.flat[outside[0]]), two_j)
     x = alpha * t
-    binom = math.exp(
-        log_gamma(two_j + 1.0) - log_gamma(n + 1.0) - log_gamma(two_j - n + 1.0)
-    )
-    return math.sqrt(binom) * math.sin(x) ** n * math.cos(x) ** (two_j - n)
+    binom = np.exp(gammaln(two_j + 1.0) - gammaln(n + 1.0) - gammaln(two_j - n + 1.0))
+    return _like(n, np.sqrt(binom) * math.sin(x) ** n * math.cos(x) ** (two_j - n))
 
 
 def syk_eta1_observables(alpha: float, t: float) -> Tuple[float, float]:
@@ -96,78 +117,41 @@ def syk_eta1_observables(alpha: float, t: float) -> Tuple[float, float]:
     return s2, c2 * math.log(c2) - s2 * math.log(s2)
 
 
-def bessel_chain_wavefunction(variant: str, omega0: float, n: int, t: float) -> float:
+def bessel_chain_wavefunction(variant: str, omega0: float, n, t: float):
     """Closed forms for the two constant-hopping chains.
 
     variant "A" (b_n = w0/2):          phi_n = J_n(w0 t) + J_{n+2}(w0 t)
     variant "B" (b_1 = w0/sqrt2, rest): phi_n = c_n J_n(w0 t), c_0 = 1, c_n = sqrt2
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    from scipy.special import jv
+
+    n = _orders(n)
     x = omega0 * t
     if variant == "A":
-        js = bessel_j_array(n + 2, x)
-        return float(js[n] + js[n + 2])
+        return _like(n, jv(n, x) + jv(n + 2, x))
     if variant == "B":
-        js = bessel_j_array(n, x)
-        c = 1.0 if n == 0 else math.sqrt(2.0)
-        return c * float(js[n])
+        return _like(n, np.where(n == 0, 1.0, math.sqrt(2.0)) * jv(n, x))
     raise ValueError("variant must be 'A' or 'B'")
 
 
 # ---------------------------------------------------------------------------
-# probability profiles (vectorized over n) and series built from them
+# probability profiles p_n = phi_n^2 on sites 0..n_sites-1, and series from them
 
 
 def syk_profile(alpha: float, eta: float, t: float, n_sites: int) -> np.ndarray:
-    n = np.arange(n_sites, dtype=float)
-    x = alpha * t
-    if x == 0.0:
-        p = np.zeros(n_sites)
-        p[0] = 1.0
-        return p
-    from scipy.special import gammaln
-
-    ln_p = (
-        gammaln(n + eta)
-        - gammaln(n + 1.0)
-        - gammaln(eta)
-        + 2.0 * n * math.log(abs(math.tanh(x)))
-        - 2.0 * eta * math.log(math.cosh(x))
-    )
-    return np.exp(ln_p)
+    return syk_wavefunction(alpha, eta, np.arange(n_sites), t) ** 2
 
 
 def coherent_profile(alpha: float, t: float, n_sites: int) -> np.ndarray:
-    n = np.arange(n_sites, dtype=float)
-    x = alpha * t
-    if x == 0.0:
-        p = np.zeros(n_sites)
-        p[0] = 1.0
-        return p
-    from scipy.special import gammaln
-
-    lam = x * x
-    return np.exp(-lam + n * math.log(lam) - gammaln(n + 1.0))
+    return coherent_wavefunction(alpha, np.arange(n_sites), t) ** 2
 
 
 def su2_profile(alpha: float, j: float, t: float) -> np.ndarray:
-    two_j = int(round(2 * j))
-    n = np.arange(two_j + 1)
-    return np.array([su2_wavefunction(alpha, j, int(k), t) ** 2 for k in n])
+    return su2_wavefunction(alpha, j, np.arange(int(round(2 * j)) + 1), t) ** 2
 
 
 def bessel_chain_profile(variant: str, omega0: float, t: float, n_sites: int) -> np.ndarray:
-    x = omega0 * t
-    js = bessel_j_array(n_sites + 2, x)
-    if variant == "A":
-        amps = js[:n_sites] + js[2 : n_sites + 2]
-    elif variant == "B":
-        amps = js[:n_sites].copy()
-        amps[1:] *= math.sqrt(2.0)
-    else:
-        raise ValueError("variant must be 'A' or 'B'")
-    return amps ** 2
+    return bessel_chain_wavefunction(variant, omega0, np.arange(n_sites), t) ** 2
 
 
 def series_from_profile(profile_fn, times: Sequence[float], tail_rel: float = 1e-16) -> ObservableSeries:
@@ -175,34 +159,24 @@ def series_from_profile(profile_fn, times: Sequence[float], tail_rel: float = 1e
 
     profile_fn(t, n_sites) must return occupation probabilities; the site
     count is grown until the trailing mass is negligible relative to
-    tail_rel, so truncation never biases the sums.
+    tail_rel, so truncation never biases the sums.  Each profile becomes
+    the state sqrt(p) and is reduced by series_from_trajectory.
     """
-    times = [float(t) for t in times]
-    cks, sks, phis, nerrs, sizes = [], [], [], [], []
-    n_sites = 64
-    for t in times:
-        while True:
-            p = profile_fn(t, n_sites)
-            if len(p) < n_sites:
-                break  # finite chain: the profile ignores the requested size
-            tail = float(np.sum(p[-8:]))
-            if tail <= tail_rel or n_sites >= 50_000_000:
-                break
-            n_sites = int(math.ceil(n_sites * 1.6)) + 8
-        total = float(np.sum(p))
-        cks.append(float(np.sum(np.arange(len(p)) * p)))
-        sks.append(entropy_of_probabilities(p))
-        phis.append(math.sqrt(max(p[0], 0.0)))
-        nerrs.append(abs(total - 1.0))
-        sizes.append(len(p))
-    return ObservableSeries(
-        times=tuple(times),
-        c_k=tuple(cks),
-        s_k=tuple(sks),
-        phi0=tuple(phis),
-        norm_error=tuple(nerrs),
-        active_size=tuple(sizes),
-    )
+
+    def states():
+        n_sites = 64
+        for t in times:
+            t = float(t)
+            while True:
+                p = profile_fn(t, n_sites)
+                if len(p) < n_sites:
+                    break  # finite chain: the profile ignores the requested size
+                if np.sum(p[-8:]) <= tail_rel or n_sites >= 50_000_000:
+                    break
+                n_sites = int(math.ceil(n_sites * 1.6)) + 8
+            yield WaveState(t, np.sqrt(p), len(p), abs(float(np.sum(p)) - 1.0), 0.0)
+
+    return series_from_trajectory(states())
 
 
 # ---------------------------------------------------------------------------

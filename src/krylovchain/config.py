@@ -122,8 +122,10 @@ _EVOLVE_KEYS = {
     "grid": (False, lambda v: v in ("uniform", "log"), "'uniform' or 'log'"),
     "sample_times": (
         False,
-        lambda v: isinstance(v, list) and all(_is_num(x) for x in v),
-        "list of numbers",
+        lambda v: isinstance(v, list)
+        and all(_is_num(x) and x >= 0 for x in v)
+        and all(b > a for a, b in zip(v, v[1:])),
+        "increasing list of numbers >= 0",
     ),
     "rel_tol": (False, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
     "abs_tol": (False, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
@@ -208,22 +210,51 @@ def _check_family(section: Dict[str, Any], pointer: str):
     kind = section.get("kind")
     if kind is None:
         raise SchemaError(f"{pointer}/kind", "required key missing")
-    if kind not in _FAMILY_PARAMS:
+    if not isinstance(kind, str) or kind not in _FAMILY_PARAMS:
         raise SchemaError(
             f"{pointer}/kind", f"unknown family; known: {sorted(_FAMILY_PARAMS)}"
         )
-    schema = dict(_FAMILY_PARAMS[kind])
-    for key in section:
-        if key != "kind" and key not in schema:
-            raise SchemaError(f"{pointer}/{key}", f"unknown key for family {kind!r}")
-    for key, (required, check, want) in schema.items():
-        if key in section:
-            if not check(section[key]):
-                raise SchemaError(f"{pointer}/{key}", f"expected {want}")
-        elif required:
-            raise SchemaError(f"{pointer}/{key}", "required key missing")
+    schema = {"kind": (True, lambda v: True, "family name"), **_FAMILY_PARAMS[kind]}
+    _check_section(section, schema, pointer)
     if kind == "spectral_model" and "alpha" in section and "omega0" in section:
         raise SchemaError(f"{pointer}/omega0", "give either alpha or omega0, not both")
+
+
+_SECTION_KEYS = {
+    "evolve": _EVOLVE_KEYS,
+    "fit": _FIT_KEYS,
+    "moments": _MOMENTS_KEYS,
+    "wnumber": _WNUMBER_KEYS,
+    "output": _OUTPUT_KEYS,
+}
+_SWEPT = ("family", "evolve", "fit")
+_SECTION_FIELDS = ("family", "evolve", "fit", "moments", "wnumber")  # RunConfig fields
+
+
+def _check_sections(doc: Dict[str, Any], heads):
+    """Validate, in order, the sections named in `heads` that doc has."""
+    for head in heads:
+        if head == "family" and head in doc:
+            _check_family(doc[head], "/family")
+        elif head in doc:
+            _check_section(doc[head], _SECTION_KEYS[head], f"/{head}")
+
+
+def _check_sweep_points(cfg: RunConfig):
+    """Validate every expanded sweep point; errors point at /sweep/<axis>."""
+    for point in sweep_points(cfg):
+        try:
+            _check_sections(apply_sweep_point(cfg.raw, point), _SWEPT)
+        except SchemaError as exc:
+            # the unswept sections are valid, so a swept value is at fault: the
+            # axis naming the failing key, else the first axis of its section
+            head, _, key = exc.pointer[1:].partition("/")
+            axis = f"{head}.{key}"
+            if axis not in point:
+                axis = min(a for a in point if a.startswith(head + "."))
+            raise SchemaError(
+                f"/sweep/{axis}", f"value {point[axis]!r} fails {exc.pointer}: {exc.detail}"
+            ) from None
 
 
 def parse_config(document: Any) -> RunConfig:
@@ -233,24 +264,9 @@ def parse_config(document: Any) -> RunConfig:
     for key in document:
         if key not in _TOP_KEYS:
             raise SchemaError(f"/{key}", "unknown key")
-    cfg = RunConfig(raw=document)
-    if "family" in document:
-        _check_family(document["family"], "/family")
-        cfg.family = document["family"]
-    if "evolve" in document:
-        _check_section(document["evolve"], _EVOLVE_KEYS, "/evolve")
-        cfg.evolve = document["evolve"]
-    if "fit" in document:
-        _check_section(document["fit"], _FIT_KEYS, "/fit")
-        cfg.fit = document["fit"]
-    if "moments" in document:
-        _check_section(document["moments"], _MOMENTS_KEYS, "/moments")
-        cfg.moments = document["moments"]
-    if "wnumber" in document:
-        _check_section(document["wnumber"], _WNUMBER_KEYS, "/wnumber")
-        cfg.wnumber = document["wnumber"]
+    _check_sections(document, ("family", *_SECTION_KEYS))
+    cfg = RunConfig(raw=document, **{h: document[h] for h in _SECTION_FIELDS if h in document})
     if "output" in document:
-        _check_section(document["output"], _OUTPUT_KEYS, "/output")
         cfg.output_formats = tuple(document["output"].get("formats", ["csv", "json"]))
     if "sweep" in document:
         sweep = document["sweep"]
@@ -259,12 +275,13 @@ def parse_config(document: Any) -> RunConfig:
         for axis, values in sweep.items():
             if not isinstance(values, list) or len(values) == 0:
                 raise SchemaError(f"/sweep/{axis}", "expected a non-empty list")
-            head = axis.split(".", 1)[0]
-            if head not in ("family", "evolve", "fit"):
+            parts = axis.split(".")
+            if len(parts) != 2 or parts[0] not in _SWEPT:
                 raise SchemaError(
                     f"/sweep/{axis}", "axis must target family.*, evolve.* or fit.*"
                 )
         cfg.sweep = {k: list(v) for k, v in sweep.items()}
+        _check_sweep_points(cfg)
     if "jobs" in document:
         if not (_is_int(document["jobs"]) and document["jobs"] >= 1):
             raise SchemaError("/jobs", "expected integer >= 1")

@@ -88,6 +88,7 @@ class SchemaError(KrylovChainError):
 
     def __init__(self, pointer, detail):
         self.pointer = pointer
+        self.detail = detail
         super().__init__(f"config error at {pointer}: {detail}")
 
 

@@ -11,8 +11,9 @@ is lost per coefficient.  Two arithmetic paths are provided:
   (the default), or plain float64 on request, which raises
   PrecisionExhaustedError when cancellation destroys positivity.
 
-The production conversion runs a quotient-difference style recurrence in
-O(K^2) operations; the Hankel-determinant formula
+The production conversion runs the quotient-difference (Chebyshev)
+recurrence on the even moments in O(K^2) operations; the
+Hankel-determinant formula
 
     b_n^2 = D_{n-2} D_n / D_{n-1}^2,   D_{-1} = 1,
 
@@ -85,9 +86,6 @@ class MomentSequence:
     def exact(self) -> bool:
         return self.precision == "exact"
 
-    def as_floats(self) -> Tuple[float, ...]:
-        return tuple(float(v) for v in self.entries)
-
 
 @dataclass(frozen=True)
 class LanczosConversion:
@@ -120,25 +118,19 @@ def _aerated(entries: Sequence[Number]) -> list:
     return m
 
 
-def _qd_recurrence(m, count, zero, is_bad):
-    """Quotient-difference / Chebyshev-style recurrence over aerated moments.
+def _qd_recurrence(mu, count, is_bad):
+    """Chebyshev (qd) recurrence on the even moments (Gautschi 2004, 2.1).
 
-    m has length >= 2*count; returns [b_1^2 .. b_count^2].  `is_bad(x)`
-    flags a non-positive pivot (invalid sequence or precision loss).
+    r_0 = mu_0..mu_{2*count}, r_n[j] = r_{n-1}[j+1] - b_{n-1}^2 r_{n-2}[j+1]
+    and b_n^2 = r_n[0] / r_{n-1}[0].  Returns ([b_1^2 .. b_count^2], None),
+    or the values so far and the order n at which `is_bad(x)` flags a
+    non-positive pivot (invalid sequence or precision loss).
     """
-    prev = None
-    cur = list(m)
+    prev, cur = None, list(mu[: count + 1])
     b2 = []
     for n in range(1, count + 1):
-        hi = len(m) - 1 - n
-        row = [zero] * (hi + 1)
-        for k in range(n, hi + 1):
-            v = cur[k + 1]
-            if n >= 2:
-                v = v - b2[-1] * prev[k]
-            row[k] = v
-        den = cur[n - 1]
-        num = row[n]
+        row = cur[1:] if prev is None else [c - b2[-1] * p for c, p in zip(cur[1:], prev[1:])]
+        num, den = row[0], cur[0]
         if is_bad(num) or is_bad(den):
             return b2, n
         b2.append(num / den)
@@ -170,25 +162,22 @@ def moments_to_lanczos(
 
     use_exact = moments.exact and precision == "auto"
     if use_exact:
-        m = _aerated([Fraction(v) for v in moments.entries])
-        b2, fail = _qd_recurrence(m, count, Fraction(0), lambda x: x <= 0)
+        b2, fail = _qd_recurrence(moments.entries, count, lambda x: x <= 0)
         if fail is not None:
             raise InvalidMomentSequenceError(fail)
         return LanczosConversion(b_squared=tuple(b2), mode="exact")
 
     if precision == "double":
-        m = _aerated([float(v) for v in moments.entries])
         b2, fail = _qd_recurrence(
-            m, count, 0.0, lambda x: not (x > 0.0 and math.isfinite(x))
+            [float(v) for v in moments.entries],
+            count,
+            lambda x: not (x > 0.0 and math.isfinite(x)),
         )
         if fail is not None:
             if moments.exact:
-                # exact arithmetic can still decide validity
-                try:
-                    moments_to_lanczos(moments, count, precision="auto")
-                except InvalidMomentSequenceError:
-                    raise
-                raise PrecisionExhaustedError(fail, "float64 cancellation")
+                # exact arithmetic can still decide validity: this raises
+                # InvalidMomentSequenceError for an invalid sequence
+                moments_to_lanczos(moments, count, precision="auto")
             raise PrecisionExhaustedError(fail, "float64 cancellation")
         return LanczosConversion(b_squared=tuple(b2), mode="double")
 
@@ -199,9 +188,8 @@ def moments_to_lanczos(
             mp.mpf(v.numerator) / mp.mpf(v.denominator) if _is_exact(v) else mp.mpf(v)
             for v in moments.entries
         ]
-        m = _aerated(vals)
         b2, fail = _qd_recurrence(
-            m, count, mp.mpf(0), lambda x: not (x > 0 and mp.isfinite(x))
+            vals, count, lambda x: not (x > 0 and mp.isfinite(x))
         )
         if fail is not None:
             raise InvalidMomentSequenceError(fail, f"at {digits} digits")
@@ -268,8 +256,8 @@ def hankel_determinants(moments: MomentSequence, count: int) -> list:
     """Determinants D_0..D_count of the zero-interleaved Hankel matrices.
 
     D_n = det(m_{i+j})_{0<=i,j<=n} with m the aerated sequence
-    (mu_0, 0, mu_2, 0, ...); exact for rational input via fraction-free
-    Gaussian elimination.
+    (mu_0, 0, mu_2, 0, ...); exact for rational input, where the Gaussian
+    elimination runs on Fractions.
     """
     if len(moments) < count + 1:
         raise InsufficientDataError(
@@ -285,11 +273,8 @@ def hankel_determinants(moments: MomentSequence, count: int) -> list:
 
 
 def _det(a, exact):
+    """Determinant by Gaussian elimination with row pivoting; overwrites a."""
     n = len(a)
-    if exact:
-        a = [[Fraction(v) for v in row] for row in a]
-    else:
-        a = [[float(v) for v in row] for row in a]
     det = Fraction(1) if exact else 1.0
     for col in range(n):
         piv = None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -184,13 +184,11 @@ class ImpulseSpectrum:
         return out
 
 
-def spectral_density_finite(modes, width: Optional[float] = None) -> ImpulseSpectrum:
+def spectral_density_finite(modes) -> ImpulseSpectrum:
     """Delta-impulse spectrum of a finite-chain mode decomposition.
 
     Each positive-frequency mode (omega_l, a_l) contributes pi*a_l at
-    +/- omega_l; a zero mode contributes 2*pi*a_0 at omega = 0.  `width`
-    is accepted for symmetry with plotting helpers but impulses are never
-    numerically broadened here.
+    +/- omega_l; a zero mode contributes 2*pi*a_0 at omega = 0.
     """
     impulses = []
     if modes.zero_mode_weight > 0.0:

@@ -1,14 +1,10 @@
 """Special functions needed by the closed-form solutions.
 
-Bessel functions of the first kind at integer order are computed with
-Miller's backward recurrence normalized by the even-order sum rule
-
-    J_0(x) + 2 * sum_{k>=1} J_{2k}(x) = 1,
-
-which is stable for every (n, x) regime this package touches.  The
-log-gamma wrapper delegates to the C library implementation, which is of
-the Lanczos-approximation class and comfortably beats the 1e-12 relative
-accuracy this package requires.
+Thin wrappers over the standard implementations: Bessel functions of the
+first kind at integer order come from scipy.special.jv, and log-gamma
+from the C library (math.lgamma).  Both comfortably beat the 1e-12
+accuracy this package requires.  scipy.special is imported on first use
+so that importing the package stays cheap.
 """
 
 from __future__ import annotations
@@ -27,51 +23,18 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _miller_start(n: int, ax: float) -> int:
-    # start high enough that the downward recurrence has damped the
-    # arbitrary seed before it reaches the requested order
-    m = max(n, int(ax)) + int(16.0 * math.sqrt(max(n, ax, 1.0))) + 24
-    return m + (m & 1)  # even start keeps the normalization sum aligned
+def bessel_j(n, x: float):
+    """J_n(x) for an integer order n >= 0 or an array of them."""
+    from scipy.special import jv
+
+    if np.any(np.asarray(n) < 0):
+        raise ValueError("order must be >= 0")
+    out = jv(n, x)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def bessel_j_array(n_max: int, x: float) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x) by backward recurrence with sum normalization."""
+    """J_0(x) .. J_{n_max}(x)."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    ax = abs(x)
-    if ax == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    m = _miller_start(n_max, ax)
-    out = np.zeros(n_max + 1)
-    jp = 0.0          # J_{k+1}
-    jc = 1e-300       # J_k seed, renormalized away
-    norm = 0.0        # accumulates J_0 + 2*sum J_{2k}
-    two_over_x = 2.0 / ax
-    for k in range(m, 0, -1):
-        jm = k * two_over_x * jc - jp
-        jp = jc
-        jc = jm
-        if abs(jc) > 1e250:
-            # rescale to dodge overflow; everything is linear in the seed
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            out *= 1e-250
-        if k - 1 <= n_max:
-            out[k - 1] = jc
-        if (k - 1) % 2 == 0:
-            norm += jc if k - 1 == 0 else 2.0 * jc
-    out /= norm
-    if x < 0.0:
-        # J_n(-x) = (-1)^n J_n(x)
-        out[1::2] *= -1.0
-    return out
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind, integer order n >= 0."""
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    return float(bessel_j_array(n, x)[n])
+    return bessel_j(np.arange(n_max + 1), x)

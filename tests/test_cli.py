@@ -147,6 +147,27 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
     assert "/bogus" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "doc,pointer",
+    [
+        ({**BASE_EVOLVE, "sweep": {"family.eta": [1.0, -1.0]}}, "/sweep/family.eta"),
+        (
+            {**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": [0.4, 0.2]}},
+            "/evolve/sample_times",
+        ),
+    ],
+    ids=["swept_eta", "decreasing_sample_times"],
+)
+def test_invalid_values_exit_2_before_running(tmp_path, doc, pointer):
+    cfg = write_config(tmp_path / "c.json", doc)
+    out = tmp_path / "o"
+    r = run_cli("evolve", "--config", cfg, "--out", str(out))
+    assert r.returncode == 2
+    assert pointer in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()  # rejected before any point ran
+
+
 def test_moments_roundtrip_and_invalid_exit_4(tmp_path):
     cfg = write_config(
         tmp_path / "m.json",

@@ -116,6 +116,50 @@ class TestWavefunctions:
             assert float(np.sum(p)) == pytest.approx(1.0, abs=1e-10)
 
 
+VECTOR_CASES = [
+    ("syk_eta1", lambda n, t: syk_wavefunction(1.0, 1.0, n, t), 400),
+    ("syk_eta07", lambda n, t: syk_wavefunction(1.3, 0.7, n, t), 400),
+    ("coherent", lambda n, t: coherent_wavefunction(1.2, n, t), 200),
+    ("su2_j52", lambda n, t: su2_wavefunction(0.8, 2.5, n, t), 6),
+    ("bessel_a", lambda n, t: bessel_chain_wavefunction("A", 1.0, n, t), 120),
+    ("bessel_b", lambda n, t: bessel_chain_wavefunction("B", 0.7, n, t), 120),
+]
+
+
+@pytest.mark.parametrize("name,phi,n_sites", VECTOR_CASES, ids=[c[0] for c in VECTOR_CASES])
+def test_closed_forms_vectorized_match_scalar(name, phi, n_sites):
+    for t in (-1.7, 0.0, 0.4, 3.0, 25.0):
+        vec = phi(np.arange(n_sites), t)
+        assert vec.shape == (n_sites,)
+        for n in range(n_sites):
+            one = phi(n, t)
+            assert isinstance(one, float)
+            assert vec[n] == pytest.approx(one, rel=1e-14, abs=0.0)
+
+
+def test_profiles_square_the_wavefunctions():
+    t, n = 1.3, np.arange(50)
+    assert np.array_equal(syk_profile(1.0, 2.0, t, 50), syk_wavefunction(1.0, 2.0, n, t) ** 2)
+    assert np.array_equal(coherent_profile(1.0, t, 50), coherent_wavefunction(1.0, n, t) ** 2)
+    assert np.array_equal(
+        bessel_chain_profile("A", 1.0, t, 50), bessel_chain_wavefunction("A", 1.0, n, t) ** 2
+    )
+    assert len(su2_profile(1.0, 1.5, t)) == 4
+    with pytest.raises(SupportExceededError):
+        su2_wavefunction(1.0, 1.0, np.arange(4), t)
+    with pytest.raises(ValueError):
+        syk_wavefunction(1.0, 1.0, np.array([0, -1]), t)
+
+
+def test_bessel_j_takes_integer_arrays():
+    from krylovchain.special import bessel_j, bessel_j_array
+
+    orders = np.array([0, 3, 7])
+    assert np.array_equal(bessel_j(orders, 4.5), bessel_j_array(7, 4.5)[orders])
+    with pytest.raises(ValueError):
+        bessel_j(np.array([1, -1]), 1.0)
+
+
 class TestModeDecomposition:
     def test_single_coefficient(self):
         md = finite_chain_modes([1.4])
@@ -273,3 +317,21 @@ def test_series_from_profile_matches_observables():
     for t, ck, sk in zip(series.times, series.c_k, series.s_k):
         assert ck == pytest.approx(math.sinh(t) ** 2, rel=1e-10, abs=1e-10)
     assert max(series.norm_error) < 1e-10
+
+
+def test_series_from_profile_reduces_through_trajectory(monkeypatch):
+    import krylovchain.closedforms as cf
+
+    seen = []
+    reduce = cf.series_from_trajectory
+
+    def spy(states):
+        states = list(states)
+        seen.extend(states)
+        return reduce(states)
+
+    monkeypatch.setattr(cf, "series_from_trajectory", spy)
+    series = series_from_profile(lambda t, n: coherent_profile(1.0, t, n), [0.0, 0.5, 1.5])
+    assert [st.t for st in seen] == [0.0, 0.5, 1.5]
+    assert series.phi0[1] == pytest.approx(math.exp(-0.125), rel=1e-14)
+    assert series.active_size == tuple(st.active_size for st in seen)

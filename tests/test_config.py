@@ -76,6 +76,38 @@ def test_sweep_axis_target_restricted():
         parse_config(doc)
 
 
+def test_sweep_axis_must_name_one_key():
+    doc = {**BASE, "sweep": {"family.eta.x": [1.0]}}
+    with pytest.raises(SchemaError) as info:
+        parse_config(doc)
+    assert info.value.pointer == "/sweep/family.eta.x"
+
+
+@pytest.mark.parametrize(
+    "sweep,pointer",
+    [
+        ({"family.eta": [1.0, -1.0]}, "/sweep/family.eta"),
+        ({"evolve.t_max": [1.0, 0.0]}, "/sweep/evolve.t_max"),
+        ({"evolve.sample_times": [[0.0, 0.5], [0.5, 0.1]]}, "/sweep/evolve.sample_times"),
+        ({"fit.c_min": [10.0, -1.0]}, "/sweep/fit.c_min"),
+        # the point is invalid through its kind, not through a key of its own
+        ({"family.kind": ["syk_like", "constant"]}, "/sweep/family.kind"),
+        ({"family.eta": [2.0], "family.kind": ["linear"]}, "/sweep/family.eta"),
+    ],
+    ids=["eta", "t_max", "sample_times", "c_min", "kind", "key_of_other_kind"],
+)
+def test_swept_values_validated(sweep, pointer):
+    with pytest.raises(SchemaError) as info:
+        parse_config({**BASE, "sweep": sweep})
+    assert info.value.pointer == pointer
+
+
+def test_swept_values_valid_at_every_point():
+    sweep = {"family.eta": [0.5, 2.0], "evolve.sample_times": [[0.0, 1.0]], "fit.c_min": [5.0]}
+    cfg = parse_config({**BASE, "sweep": sweep})
+    assert len(sweep_points(cfg)) == 2
+
+
 def test_sweep_points_deterministic_order():
     doc = {**BASE, "sweep": {"family.eta": [1.0, 2.0], "evolve.t_max": [1.0, 3.0]}}
     cfg = parse_config(doc)
@@ -88,6 +120,23 @@ def test_sweep_points_deterministic_order():
     assert point_doc["evolve"]["t_max"] == 3.0
     assert "sweep" not in point_doc
     assert doc["family"]["eta"] == 1.0  # original untouched
+
+
+@pytest.mark.parametrize(
+    "times", [[0.4, 0.2], [0.0, 0.5, 0.5], [-0.1, 0.2], [0.0, "1"]]
+)
+def test_sample_times_non_negative_and_increasing(times):
+    with pytest.raises(SchemaError) as info:
+        parse_config({"evolve": {"t_max": 1.0, "sample_times": times}})
+    assert info.value.pointer == "/evolve/sample_times"
+    parse_config({"evolve": {"t_max": 1.0, "sample_times": [0.0, 0.2, 0.4]}})
+
+
+def test_family_kind_must_be_a_name():
+    for kind in ([], {}, 3):
+        with pytest.raises(SchemaError) as info:
+            parse_config({"family": {"kind": kind}})
+        assert info.value.pointer == "/family/kind"
 
 
 def test_build_sequence_families():
