@@ -44,6 +44,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_whole(v) -> bool:
+    """A number with an integer value: 2 and 2.0 both count."""
+    return _is_num(v) and float(v).is_integer()
+
+
 _FAMILY_PARAMS: Dict[str, Dict[str, tuple]] = {
     # name: {param: (required, validator, message)}
     "linear": {
@@ -57,7 +62,7 @@ _FAMILY_PARAMS: Dict[str, Dict[str, tuple]] = {
     "sqrt_growth": {"alpha": (True, _is_pos, "positive number")},
     "su2": {
         "alpha": (True, _is_pos, "positive number"),
-        "j": (True, _is_pos, "positive integer or half integer"),
+        "j": (True, lambda v: _is_pos(v) and _is_whole(2 * v), "positive integer or half integer"),
     },
     "power_law": {
         "alpha": (True, _is_pos, "positive number"),
@@ -91,7 +96,7 @@ _FAMILY_PARAMS: Dict[str, Dict[str, tuple]] = {
         )
     },
     "spectral_model": {
-        "nu": (True, lambda v: _is_num(v) and v >= 0, "number >= 0"),
+        "nu": (True, lambda v: _is_whole(v) and v >= 0, "integer >= 0"),
         "alpha": (False, _is_pos, "positive number"),
         "omega0": (False, _is_pos, "positive number"),
         "exact_coefficients": (False, lambda v: _is_int(v) and v >= 8, "integer >= 8"),

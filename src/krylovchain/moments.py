@@ -18,7 +18,12 @@ Hankel-determinant formula
     b_n^2 = D_{n-2} D_n / D_{n-1}^2,   D_{-1} = 1,
 
 over the zero-interleaved moment sequence is kept alongside as the
-independent oracle, and the two are required to agree.
+independent oracle, and the two are required to agree.  The aerated
+Hankel matrix is a checkerboard, so D_n = det H0 * det H1 factors into
+leading minors of the Hankel matrices H0 = (mu_{2(i+j)}) and
+H1 = (mu_{2(i+j+1)}), and one fraction-free (Bareiss) elimination of
+each gives every D_n.  The reverse map sums weighted Dyck paths on the
+sites that can still return to site 0.
 """
 
 from __future__ import annotations
@@ -207,13 +212,16 @@ def lanczos_to_moments(
 ) -> MomentSequence:
     """Moments mu_0..mu_{2*count} of the tridiagonal operator built from b.
 
-    Pass either coefficients `b` or their squares `b_squared`.  mu_{2n}
-    is the (0,0) entry of the 2n-th operator power, evaluated on a
-    (count+1)-site window, which is exact because a walk of length
-    2*count never leaves it.  All inputs are transported exactly (binary
-    floats are exact rationals), and the result is exact in b^2: this
-    direction is benign, and keeping it lossless is what lets the
-    ill-conditioned inverse direction round trip.
+    Pass either coefficients `b` or their squares `b_squared`; missing
+    coefficients past the end of the input count as zero.  mu_{2n} is the
+    (0,0) entry of the 2n-th operator power, the weighted sum over Dyck
+    paths of length 2n (Flajolet 1980).  Only the sites a path can occupy
+    are visited: at power p, site i is reachable when i <= p and
+    i = p (mod 2), and it still counts when i <= 2*count - p, so that the
+    path can return to site 0 by step 2*count.  All inputs are transported
+    exactly (binary floats are exact rationals), and the result is exact
+    in b^2: this direction is benign, and keeping it lossless is what
+    lets the ill-conditioned inverse direction round trip.
     """
     if (b is None) == (b_squared is None):
         raise ValueError("pass exactly one of b or b_squared")
@@ -228,25 +236,22 @@ def lanczos_to_moments(
     if count > 0 and len(sq) == 0:
         raise InsufficientDataError("no coefficients supplied for count > 0")
     zero = Fraction(0)
-    one = Fraction(1)
 
     # similarity-transformed operator: sub-diagonal 1, super-diagonal b^2,
-    # so powers stay rational in b^2
-    dim = count + 1
-    sq = list(sq[: dim - 1]) + [zero] * max(0, dim - 1 - len(sq))
-    v = [zero] * dim
-    v[0] = one
-    entries = [one]
+    # so powers stay rational in b^2; v[i] is the (i, 0) entry of the p-th
+    # power, updated in place because power p writes only sites i = p mod 2
+    sq = sq[:count] + [zero] * (count - len(sq))
+    v = [zero] * (count + 1)
+    v[0] = Fraction(1)
+    entries = [v[0]]
     for p in range(1, 2 * count + 1):
-        nxt = [zero] * dim
-        for i in range(dim):
-            acc = zero
-            if i > 0:
-                acc += v[i - 1]           # sub-diagonal entry 1
-            if i < dim - 1:
-                acc += sq[i] * v[i + 1]   # super-diagonal entry b_{i+1}^2
-            nxt[i] = acc
-        v = nxt
+        for i in range(p % 2, min(p, 2 * count - p) + 1, 2):
+            if i == p:  # first visit: the right neighbour is still zero
+                v[i] = v[i - 1]
+            elif i == 0:
+                v[i] = sq[0] * v[1]
+            else:
+                v[i] = v[i - 1] + sq[i] * v[i + 1]
         if p % 2 == 0:
             entries.append(v[0])
     return MomentSequence(entries=tuple(entries))
@@ -256,20 +261,58 @@ def hankel_determinants(moments: MomentSequence, count: int) -> list:
     """Determinants D_0..D_count of the zero-interleaved Hankel matrices.
 
     D_n = det(m_{i+j})_{0<=i,j<=n} with m the aerated sequence
-    (mu_0, 0, mu_2, 0, ...); exact for rational input, where the Gaussian
-    elimination runs on Fractions.
+    (mu_0, 0, mu_2, 0, ...).  That matrix is a checkerboard: ordering its
+    even indices before its odd ones splits it into two Hankel blocks of
+    the even moments, H0 = (mu_{2(i+j)}) and H1 = (mu_{2(i+j+1)}), so
+
+        D_n = det H0_{floor(n/2)+1} * det H1_{ceil(n/2)},
+
+    with H_k the leading k x k block and det H_0 = 1.  For rational input
+    one fraction-free elimination per block gives all its leading minors;
+    float input keeps one pivoted elimination per order.
     """
     if len(moments) < count + 1:
         raise InsufficientDataError(
             f"D_{count} needs mu_{2 * count}, got {len(moments)} entries"
         )
-    exact = moments.exact
-    m = _aerated(list(moments.entries))
-    dets = []
-    for n in range(count + 1):
-        a = [[m[i + j] for j in range(n + 1)] for i in range(n + 1)]
-        dets.append(_det(a, exact))
-    return dets
+    mu = moments.entries
+    if not moments.exact:
+        m = _aerated(mu)
+        return [
+            _det([[m[i + j] for j in range(n + 1)] for i in range(n + 1)], False)
+            for n in range(count + 1)
+        ]
+    even = _hankel_minors(mu, count // 2 + 1, 0)
+    odd = [Fraction(1)] + _hankel_minors(mu, (count + 1) // 2, 1)
+    return [even[n // 2] * odd[(n + 1) // 2] for n in range(count + 1)]
+
+
+def _hankel_minors(mu, n, shift) -> list:
+    """Leading principal minors, orders 1..n, of the Hankel matrix (mu[i+j+shift]).
+
+    Bareiss's fraction-free elimination without pivoting: after step k
+    every remaining entry is a minor bordering the leading (k+1) x (k+1)
+    block, so the pivot at (k, k) is the minor of order k+1 (Bareiss,
+    Math. Comp. 22, 1968).  A zero pivot ends the elimination; the minors
+    of higher order then come from `_det` on the leading blocks.
+    """
+    a = [[mu[i + j + shift] for j in range(n)] for i in range(n)]
+    work = [row[:] for row in a]
+    minors = []
+    prev = 1
+    for k in range(n):
+        piv = work[k][k]
+        minors.append(piv)
+        if piv == 0:
+            minors += [_det([row[:size] for row in a[:size]], True) for size in range(k + 2, n + 1)]
+            break
+        top = work[k]
+        for row in work[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * piv - lead * top[j]) / prev
+        prev = piv
+    return minors
 
 
 def _det(a, exact):

@@ -155,8 +155,13 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
             {**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": [0.4, 0.2]}},
             "/evolve/sample_times",
         ),
+        ({**BASE_EVOLVE, "family": {"kind": "su2", "alpha": 1.0, "j": 0.3}}, "/family/j"),
+        (
+            {**BASE_EVOLVE, "family": {"kind": "spectral_model", "nu": 0.5, "omega0": 1.0}},
+            "/family/nu",
+        ),
     ],
-    ids=["swept_eta", "decreasing_sample_times"],
+    ids=["swept_eta", "decreasing_sample_times", "su2_fractional_j", "spectral_fractional_nu"],
 )
 def test_invalid_values_exit_2_before_running(tmp_path, doc, pointer):
     cfg = write_config(tmp_path / "c.json", doc)

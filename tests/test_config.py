@@ -102,6 +102,37 @@ def test_swept_values_validated(sweep, pointer):
     assert info.value.pointer == pointer
 
 
+@pytest.mark.parametrize(
+    "family,pointer",
+    [
+        ({"kind": "su2", "alpha": 1.0, "j": 0.3}, "/family/j"),
+        ({"kind": "su2", "alpha": 1.0, "j": -0.5}, "/family/j"),
+        ({"kind": "spectral_model", "nu": 0.5, "omega0": 1.0}, "/family/nu"),
+        ({"kind": "spectral_model", "nu": -1, "omega0": 1.0}, "/family/nu"),
+    ],
+    ids=["j_fraction", "j_negative", "nu_fraction", "nu_negative"],
+)
+def test_family_values_the_builders_reject(family, pointer):
+    with pytest.raises(SchemaError) as info:
+        parse_config({**BASE, "family": family})
+    assert info.value.pointer == pointer
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"kind": "su2", "alpha": 1.0, "j": 0.5},
+        {"kind": "su2", "alpha": 1.0, "j": 3},
+        {"kind": "spectral_model", "nu": 2, "omega0": 1.0},
+        {"kind": "spectral_model", "nu": 1.0, "omega0": 1.0},
+    ],
+    ids=["j_half", "j_integer", "nu_int", "nu_whole_float"],
+)
+def test_family_values_the_builders_accept(family):
+    cfg = parse_config({**BASE, "family": family})
+    build_sequence(cfg.family)
+
+
 def test_swept_values_valid_at_every_point():
     sweep = {"family.eta": [0.5, 2.0], "evolve.sample_times": [[0.0, 1.0]], "fit.c_min": [5.0]}
     cfg = parse_config({**BASE, "sweep": sweep})

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krylovchain import (
     InsufficientDataError,
@@ -159,3 +160,146 @@ def test_insufficient_entries():
     m = MomentSequence.from_values([1, 1, 2])
     with pytest.raises(InsufficientDataError):
         moments_to_lanczos(m, 3)
+
+
+# ---------------------------------------------------------------------------
+# the pruned moment map and the checkerboard Hankel oracle against plain
+# references: exact equality, no tolerance
+
+DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+rationals = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+
+
+def full_window_moments(b_squared, count):
+    """mu_0..mu_{2*count}: every site of a (count+1)-site window at every power."""
+    sq = [Fraction(v) for v in b_squared][:count]
+    sq += [Fraction(0)] * (count - len(sq))
+    v = [Fraction(1)] + [Fraction(0)] * count
+    entries = [v[0]]
+    for p in range(1, 2 * count + 1):
+        v = [
+            (v[i - 1] if i > 0 else 0) + (sq[i] * v[i + 1] if i < count else 0)
+            for i in range(count + 1)
+        ]
+        if p % 2 == 0:
+            entries.append(v[0])
+    return tuple(entries)
+
+
+def pivoted_determinants(entries, count):
+    """D_0..D_count, one row-pivoted elimination of each aerated Hankel matrix."""
+    m = []
+    for v in entries:
+        m += [v, v * 0]
+    dets = []
+    for n in range(count + 1):
+        a = [[m[i + j] for j in range(n + 1)] for i in range(n + 1)]
+        det = entries[0] * 0 + 1
+        for col in range(n + 1):
+            piv = next((r for r in range(col, n + 1) if a[r][col] != 0), None)
+            if piv is None:
+                det *= 0
+                break
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                det = -det
+            det *= a[col][col]
+            for r in range(col + 1, n + 1):
+                f = a[r][col] / a[col][col]
+                if f != 0:
+                    for c in range(col, n + 1):
+                        a[r][c] -= f * a[col][c]
+        dets.append(det)
+    return dets
+
+
+@DETERMINISTIC
+@given(st.integers(0, 12).flatmap(
+    lambda count: st.tuples(st.just(count), st.lists(rationals, min_size=1, max_size=count + 2))
+))
+def test_pruned_moments_match_full_window_rationals(case):
+    count, b_sq = case
+    got = lanczos_to_moments(b_squared=b_sq, count=count)
+    assert got.entries == full_window_moments(b_sq, count)
+
+
+@DETERMINISTIC
+@given(st.integers(1, 12), st.lists(st.one_of(rationals, st.floats(0.05, 5.0)), min_size=1, max_size=14))
+def test_pruned_moments_match_full_window_b_input(count, b):
+    got = lanczos_to_moments(b=b, count=count)
+    assert got.entries == full_window_moments([Fraction(v) ** 2 for v in b], count)
+
+
+@DETERMINISTIC
+@given(st.integers(2, 14).flatmap(
+    lambda count: st.tuples(st.just(count), st.lists(rationals, min_size=1, max_size=count - 1))
+))
+def test_pruned_moments_zero_pad_short_input(case):
+    # a chain shorter than count ends in zeros: the moments stop growing
+    count, b_sq = case
+    got = lanczos_to_moments(b_squared=b_sq, count=count)
+    assert got.entries == full_window_moments(b_sq + [0] * (count - len(b_sq)), count)
+
+
+@DETERMINISTIC
+@given(st.lists(rationals, min_size=1, max_size=14))
+def test_exact_round_trip_is_identical(b_sq):
+    count = len(b_sq)
+    m = lanczos_to_moments(b_squared=b_sq, count=count)
+    assert list(moments_to_lanczos(m, count).b_squared) == b_sq
+
+
+@DETERMINISTIC
+@given(st.lists(rationals, min_size=1, max_size=12))
+def test_hankel_determinants_match_pivoted_reference_valid(b_sq):
+    count = len(b_sq)
+    m = lanczos_to_moments(b_squared=b_sq, count=count)
+    dets = hankel_determinants(m, count)
+    assert dets == pivoted_determinants(m.entries, count)
+    assert all(isinstance(d, Fraction) and d > 0 for d in dets)
+
+
+@DETERMINISTIC
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=11))
+def test_hankel_determinants_match_pivoted_reference_any_integers(tail):
+    # small integers make many leading minors of either block vanish
+    m = MomentSequence.from_values([1] + tail)
+    assert hankel_determinants(m, len(tail)) == pivoted_determinants(m.entries, len(tail))
+
+
+def test_hankel_determinants_invalid_sequence():
+    m = MomentSequence.from_values([1, 1, Fraction(1, 2)])
+    dets = hankel_determinants(m, 2)
+    assert dets == pivoted_determinants(m.entries, 2) == [1, 1, Fraction(-1, 2)]
+    with pytest.raises(InvalidMomentSequenceError) as info:
+        lanczos_from_hankel(m, 2)
+    assert info.value.order == 2
+
+
+@pytest.mark.parametrize(
+    "values,zeros",
+    [
+        # det (mu_{2(i+j)})_{2x2} = 0, the 3x3 minor of that block is -1
+        ([1, 1, 1, 2, 5], [2, 3]),
+        # det (mu_{2(i+j+1)})_{2x2} = 0, the 3x3 minor of that block is -1
+        ([1, 1, 2, 4, 9, 20], [3, 4]),
+    ],
+    ids=["even_block", "odd_block"],
+)
+def test_hankel_determinants_past_a_zero_leading_minor(values, zeros):
+    m = MomentSequence.from_values(values)
+    count = len(values) - 1
+    dets = hankel_determinants(m, count)
+    assert dets == pivoted_determinants(m.entries, count)
+    assert [n for n, d in enumerate(dets) if d == 0] == zeros
+    assert dets[-1] != 0
+    with pytest.raises(InvalidMomentSequenceError) as info:
+        lanczos_from_hankel(m, count)
+    assert info.value.order == zeros[0]
+
+
+def test_hankel_determinants_float_input():
+    b = [0.7, 1.3, 2.1, 0.9, 1.6]
+    m = MomentSequence.from_values([float(v) for v in lanczos_to_moments(b=b, count=5).entries])
+    assert hankel_determinants(m, 5) == pivoted_determinants(m.entries, 5)
