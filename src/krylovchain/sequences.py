@@ -59,17 +59,17 @@ class LanczosSequence:
             raise SupportExceededError(n, sup)
         return float(self._b_bulk(np.asarray([n], dtype=float))[0])
 
-    def b_array(self, count: int) -> np.ndarray:
-        """b_1 .. b_count as a float array, zero padded beyond finite support."""
+    def b_array(self, count: int, start: int = 1) -> np.ndarray:
+        """b_start .. b_{start+count-1} as a float array, zero padded beyond finite support."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        if count == 0:
-            return np.zeros(0)
+        if start < 1:
+            raise ValueError(f"coefficient index must be >= 1, got {start}")
         sup = self.support
-        hi = count if sup is None else min(count, sup)
+        hi = count if sup is None else min(count, max(sup - start + 1, 0))
         out = np.zeros(count)
         if hi > 0:
-            out[:hi] = self._b_bulk(np.arange(1.0, hi + 1.0))
+            out[:hi] = self._b_bulk(np.arange(float(start), start + hi))
         return out
 
     def _check_first(self) -> None:

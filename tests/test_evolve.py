@@ -238,6 +238,49 @@ def test_cayley4_forward_back_round_trip():
     assert np.max(np.abs(y - start)) <= 1e-12
 
 
+@pytest.mark.parametrize("method", ["cayley4", "trapezoidal"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 40, 41])
+def test_stage_matches_dense_cayley(method, n):
+    # the half-size even-site solve is the Cayley factor (I - cA)^-1 (I + cA),
+    # here applied stage by stage with dense solves on the full window
+    from krylovchain.evolve import _COMPOSITIONS, _CayleyStepper, _Window
+
+    cfg = EvolveConfig(t_max=1.0, method=method)
+    y = np.random.default_rng(n).standard_normal(n)
+    y /= np.linalg.norm(y)
+    w = _Window(SykLike(1.0, 1.5), cfg, y)
+    stp = _CayleyStepper(w, cfg)
+    off = w.b[: n - 1]
+    a = np.diag(off, -1) - np.diag(off, 1)
+    for h in (0.3, -0.05):
+        ref = y
+        for weight in _COMPOSITIONS[method][0]:
+            c = 0.5 * weight * h
+            ref = np.linalg.solve(np.eye(n) - c * a, ref + c * (a @ ref))
+        for dy in (None, a @ y):
+            assert np.max(np.abs(stp._apply(h, y, dy) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("method", ["cayley4", "trapezoidal"])
+def test_round_trip_norm_to_rounding(method):
+    # solving for the increment of the even sites keeps every stage orthogonal
+    # to rounding: 2,000 steps leave the norm within 1e-14
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    seq = Explicit(tuple(1.0 + 0.5 * np.sin(np.arange(1, 40))))
+    cfg = EvolveConfig(t_max=1.0, method=method)
+    w = _Window(seq, cfg, None)
+    w.resize(40)
+    stp = _CayleyStepper(w, cfg)
+    y = w.y
+    worst = 0.0
+    for h in (1e-2, -1e-2):
+        for _ in range(1000):
+            y = stp._apply(h, y)
+            worst = max(worst, abs(float(np.sum(y ** 2)) - 1.0))
+    assert worst <= 1e-14
+
+
 def test_factor_cache_bounded_to_current_window():
     from krylovchain.evolve import _CayleyStepper, _Window
 
@@ -250,7 +293,7 @@ def test_factor_cache_bounded_to_current_window():
         assert len(stp._factors) <= len(set(stp.weights))
         for weight, (c, bands) in stp._factors.items():
             assert c == 0.5 * weight * h
-            assert len(bands[1]) == w.n
+            assert len(bands[1]) == (w.n + 1) // 2
 
 
 class _CountingLapack:
@@ -334,6 +377,23 @@ def test_factor_reused_across_rounding_level_steps(lapack_calls):
     assert lapack_calls["dgttrf"] == 2 * len(set(stp.weights))
     for weight, (c, _) in stp._factors.items():
         assert c == 0.5 * weight * h3
+
+
+def test_clock_keeps_factors_far_from_t0(lapack_calls):
+    # at t ~ 1e4 a clock summed step by step gathers rounding that misses the
+    # 1e-12 factor reuse; start + k h keeps one step length per interval
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    cfg = EvolveConfig(t_max=1.0, rel_tol=1e-10)
+    y = np.random.default_rng(0).standard_normal(31)
+    w = _Window(Explicit((1.0,) * 30), cfg, y / np.linalg.norm(y))
+    stp = _CayleyStepper(w, cfg)
+    t = 1e4
+    for k in range(1, 6):
+        t = stp.advance(t, 1e4 + k)
+        assert abs(t - (1e4 + k)) <= 1e-12 * t
+    assert lapack_calls["dgttrs"] > 1000
+    assert lapack_calls["dgttrf"] == len(set(stp.weights))
 
 
 def test_truncation_insensitivity():

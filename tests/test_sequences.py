@@ -58,6 +58,26 @@ def test_explicit_support():
     assert seq.b_array(5).tolist() == [1.0, 2.0, 0.5, 0.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "seq",
+    [
+        Explicit((1.0, 2.0, 0.5)),
+        Su2(1.0, 1.5),
+        SykLike(2.0, 0.25),
+        StitchedSequence(head=(1.0, 2.0, 3.5), alpha=1.0, gamma_even=0.5, c_odd=2.0),
+    ],
+    ids=lambda seq: type(seq).__name__,
+)
+def test_b_array_tail_matches_the_full_array(seq):
+    # a window that grows evaluates only its new tail, bit for bit
+    full = seq.b_array(12)
+    for start in (1, 2, 3, 4, 5, 9):
+        assert np.array_equal(seq.b_array(13 - start, start=start), full[start - 1 :])
+    assert seq.b_array(0, start=7).tolist() == []
+    with pytest.raises(ValueError):
+        seq.b_array(3, start=0)
+
+
 def test_all_infinite_families_positive_finite():
     seqs = [
         Linear(1.0, 0.5),
