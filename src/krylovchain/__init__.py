@@ -28,6 +28,7 @@ from .errors import (
     InvalidMomentSequenceError,
     KrylovChainError,
     OrderingError,
+    ParameterError,
     PrecisionExhaustedError,
     ResourceLimitError,
     SchemaError,

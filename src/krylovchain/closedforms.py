@@ -21,11 +21,19 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SupportExceededError, UnsupportedFamilyError
+from .errors import (
+    NON_NEGATIVE,
+    POSITIVE,
+    ParameterError,
+    SupportExceededError,
+    UnsupportedFamilyError,
+    check_fields,
+    param,
+)
 from .evolve import WaveState
 from .moments import MomentSequence, moments_to_lanczos
 from .observables import ObservableSeries, series_from_trajectory
-from .sequences import StitchedSequence
+from .sequences import HALF_INTEGER, StitchedSequence
 from .special import log_gamma
 
 __all__ = [
@@ -67,8 +75,7 @@ def syk_wavefunction(alpha: float, eta: float, n, t: float):
     """phi_n(t) = sqrt(Gamma(n+eta)/(n! Gamma(eta))) tanh^n(at)/cosh^eta(at)."""
     from scipy.special import gammaln, xlogy
 
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    POSITIVE.check("eta", eta)
     n = _orders(n)
     x = alpha * t
     mag = (
@@ -95,9 +102,8 @@ def su2_wavefunction(alpha: float, j: float, n, t: float):
     """phi_n(t) = sqrt(C(2j, n)) sin^n(at) cos^(2j-n)(at) on 0 <= n <= 2j."""
     from scipy.special import gammaln
 
+    HALF_INTEGER.check("j", j)
     two_j = int(round(2 * j))
-    if two_j < 1 or abs(2 * j - two_j) > 1e-12:
-        raise ValueError("j must be a positive integer or half integer")
     n = np.asarray(n)
     outside = np.flatnonzero((n < 0) | (n > two_j))
     if outside.size:
@@ -260,18 +266,19 @@ class SpectralModel:
     linear hopping growth with rate alpha = pi w0 / 2.
     """
 
-    nu: float
-    omega0: float
+    nu: float = param(NON_NEGATIVE)
+    omega0: float = param(POSITIVE)
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("nu must be >= 0")
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+        check_fields(self)
 
     @classmethod
     def with_rate(cls, nu: float, alpha: float = 1.0) -> "SpectralModel":
-        return cls(nu=nu, omega0=2.0 * alpha / math.pi)
+        POSITIVE.check("alpha", alpha)
+        omega0 = 2.0 * alpha / math.pi
+        if not POSITIVE.ok(omega0):
+            raise ParameterError("alpha", f"alpha = {alpha} gives omega0 = {omega0}")
+        return cls(nu=nu, omega0=omega0)
 
     @property
     def alpha(self) -> float:

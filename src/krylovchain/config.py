@@ -1,19 +1,39 @@
 """Run-configuration parsing and validation.
 
-Configs are JSON documents validated against the schema below before any
-computation starts.  Validation is strict: unknown keys are rejected, and
-every error carries the JSON-pointer path of the offending entry.
+Configs are JSON documents validated before any computation starts.
+Validation is strict: unknown keys are rejected, and every error carries
+the JSON-pointer path of the offending entry.
+
+The family and evolve sections are validated by building the sequence
+dataclass or EvolveConfig they describe, so their keys, defaults and
+admitted values are those of the dataclass fields (see errors.param),
+and a ParameterError becomes a SchemaError at /section/key, or at
+/family when b_1 is at fault.  A spectral_model family builds its
+SpectralModel; its moment problem waits for build_sequence.  The fit,
+moments, wnumber and output sections, which no dataclass holds, are
+checked against the tables below.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import copy
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from .closedforms import SpectralModel, spectral_model_sequence
-from .errors import SchemaError
-from .evolve import METHODS, EvolveConfig
+from .errors import (
+    NON_NEGATIVE,
+    NUMBER,
+    POSITIVE,
+    UNIT,
+    ParameterError,
+    Rule,
+    SchemaError,
+    at_least,
+    one_of,
+)
+from .evolve import EvolveConfig
 from .sequences import (
     Constant,
     ConstantWithFirst,
@@ -31,149 +51,67 @@ from .sequences import (
 
 __all__ = ["RunConfig", "parse_config", "build_sequence", "CONFIG_SCHEMA_DOC"]
 
-
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_pos(v) -> bool:
-    return _is_num(v) and v > 0
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_whole(v) -> bool:
-    """A number with an integer value: 2 and 2.0 both count."""
-    return _is_num(v) and float(v).is_integer()
-
-
-_FAMILY_PARAMS: Dict[str, Dict[str, tuple]] = {
-    # name: {param: (required, validator, message)}
-    "linear": {
-        "alpha": (True, _is_pos, "positive number"),
-        "gamma": (False, _is_num, "number"),
-    },
-    "syk_like": {
-        "alpha": (True, _is_pos, "positive number"),
-        "eta": (True, _is_pos, "positive number"),
-    },
-    "sqrt_growth": {"alpha": (True, _is_pos, "positive number")},
-    "su2": {
-        "alpha": (True, _is_pos, "positive number"),
-        "j": (True, lambda v: _is_pos(v) and _is_whole(2 * v), "positive integer or half integer"),
-    },
-    "power_law": {
-        "alpha": (True, _is_pos, "positive number"),
-        "delta": (True, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
-    },
-    "power_log": {
-        "alpha": (True, _is_pos, "positive number"),
-        "delta": (True, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
-        "sign": (True, lambda v: v in (1, -1), "+1 or -1"),
-    },
-    "log_corrected_linear": {
-        "alpha": (True, _is_pos, "positive number"),
-        "sigma": (False, _is_pos, "positive number"),
-        "offset": (False, lambda v: _is_int(v) and v >= 0, "non-negative integer"),
-    },
-    "log_growth": {
-        "alpha": (True, _is_pos, "positive number"),
-        "gamma0": (False, _is_num, "number"),
-        "offset": (False, lambda v: _is_int(v) and v >= 0, "non-negative integer"),
-    },
-    "constant": {"b": (True, _is_pos, "positive number")},
-    "constant_with_first": {
-        "b1": (True, _is_pos, "positive number"),
-        "b": (True, _is_pos, "positive number"),
-    },
-    "explicit": {
-        "coefficients": (
-            True,
-            lambda v: isinstance(v, list) and len(v) >= 1 and all(_is_pos(x) for x in v),
-            "non-empty list of positive numbers",
-        )
-    },
-    "spectral_model": {
-        "nu": (True, lambda v: _is_whole(v) and v >= 0, "integer >= 0"),
-        "alpha": (False, _is_pos, "positive number"),
-        "omega0": (False, _is_pos, "positive number"),
-        "exact_coefficients": (False, lambda v: _is_int(v) and v >= 8, "integer >= 8"),
-    },
+_FAMILIES = {
+    "linear": Linear,
+    "syk_like": SykLike,
+    "sqrt_growth": SqrtGrowth,
+    "su2": Su2,
+    "power_law": PowerLaw,
+    "power_log": PowerLog,
+    "log_corrected_linear": LogCorrectedLinear,
+    "log_growth": LogGrowth,
+    "constant": Constant,
+    "constant_with_first": ConstantWithFirst,
+    "explicit": Explicit,
 }
+_JSON_KEY = {"b_value": "b", "b_first": "b1"}  # field name -> config key, where they differ
+_FIELD = {key: name for name, key in _JSON_KEY.items()}
 
-_FAMILY_BUILDERS = {
-    "linear": lambda p: Linear(alpha=p["alpha"], gamma=p.get("gamma", 0.0)),
-    "syk_like": lambda p: SykLike(alpha=p["alpha"], eta=p["eta"]),
-    "sqrt_growth": lambda p: SqrtGrowth(alpha=p["alpha"]),
-    "su2": lambda p: Su2(alpha=p["alpha"], j=p["j"]),
-    "power_law": lambda p: PowerLaw(alpha=p["alpha"], delta=p["delta"]),
-    "power_log": lambda p: PowerLog(alpha=p["alpha"], delta=p["delta"], sign=p["sign"]),
-    "log_corrected_linear": lambda p: LogCorrectedLinear(
-        alpha=p["alpha"], sigma=p.get("sigma", 1.0), offset=p.get("offset", 1)
-    ),
-    "log_growth": lambda p: LogGrowth(
-        alpha=p["alpha"], gamma0=p.get("gamma0", 0.0), offset=p.get("offset", 1)
-    ),
-    "constant": lambda p: Constant(b_value=p["b"]),
-    "constant_with_first": lambda p: ConstantWithFirst(b_first=p["b1"], b_value=p["b"]),
-    "explicit": lambda p: Explicit(coefficients=tuple(p["coefficients"])),
-}
 
-_EVOLVE_KEYS = {
-    "t_max": (True, _is_pos, "positive number"),
-    "samples": (False, lambda v: _is_int(v) and v >= 1, "integer >= 1"),
-    "grid": (False, lambda v: v in ("uniform", "log"), "'uniform' or 'log'"),
-    "sample_times": (
-        False,
-        lambda v: isinstance(v, list)
-        and all(_is_num(x) and x >= 0 for x in v)
-        and all(b > a for a, b in zip(v, v[1:])),
-        "increasing list of numbers >= 0",
-    ),
-    "rel_tol": (False, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
-    "abs_tol": (False, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
-    "truncation_tol": (False, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
-    "guard_band": (False, lambda v: _is_int(v) and v >= 4, "integer >= 4"),
-    "max_active_size": (False, lambda v: _is_int(v) and v >= 16, "integer >= 16"),
-    "method": (False, lambda v: v in METHODS, "one of " + ", ".join(METHODS)),
-    "log_decades": (False, _is_pos, "positive number"),
-}
+def _params(cls) -> Dict[str, bool]:
+    """{config key: required} for the fields of a dataclass, in field order."""
+    return {_JSON_KEY.get(f.name, f.name): f.default is MISSING for f in fields(cls)}
+
+
+_FAMILY_KEYS = {kind: tuple(_params(cls)) for kind, cls in _FAMILIES.items()}
+_FAMILY_KEYS["spectral_model"] = ("nu", "alpha", "omega0", "exact_coefficients")
+_WHOLE = Rule("integer >= 0", lambda v: NON_NEGATIVE.ok(v) and float(v).is_integer())
 
 _FIT_KEYS = {
-    "c_min": (False, _is_pos, "positive number"),
-    "c_max": (False, _is_pos, "positive number"),
-    "t_min": (False, lambda v: _is_num(v) and v >= 0, "number >= 0"),
-    "t_max": (False, _is_pos, "positive number"),
-    "include_lnln": (False, lambda v: isinstance(v, bool), "boolean"),
-    "weighting": (False, lambda v: v in ("logc", "time"), "'logc' or 'time'"),
-    "bound_tol": (False, lambda v: _is_num(v) and v >= 0, "number >= 0"),
+    "c_min": (False, POSITIVE),
+    "c_max": (False, POSITIVE),
+    "t_min": (False, NON_NEGATIVE),
+    "t_max": (False, POSITIVE),
+    "include_lnln": (False, Rule("boolean", lambda v: isinstance(v, bool))),
+    "weighting": (False, one_of("logc", "time")),
+    "bound_tol": (False, NON_NEGATIVE),
 }
 
 _MOMENTS_KEYS = {
-    "direction": (True, lambda v: v in ("to_lanczos", "to_moments"), "'to_lanczos' or 'to_moments'"),
+    "direction": (True, one_of("to_lanczos", "to_moments")),
     "values": (
         True,
-        lambda v: isinstance(v, list) and len(v) >= 1 and all(_is_num(x) for x in v),
-        "non-empty list of numbers",
+        Rule(
+            "non-empty list of numbers",
+            lambda v: isinstance(v, list) and len(v) >= 1 and all(map(NUMBER.ok, v)),
+        ),
     ),
-    "count": (False, lambda v: _is_int(v) and v >= 0, "integer >= 0"),
-    "arithmetic": (False, lambda v: v in ("exact", "float", "double"), "'exact', 'float' or 'double'"),
+    "count": (False, at_least(0)),
+    "arithmetic": (False, one_of("exact", "float", "double")),
 }
 
 _WNUMBER_KEYS = {
-    "depth": (False, lambda v: _is_int(v) and v >= 2, "integer >= 2"),
-    "tol": (False, lambda v: _is_num(v) and 0 < v < 1, "number in (0, 1)"),
+    "depth": (False, at_least(2)),
+    "tol": (False, UNIT),
 }
 
 _OUTPUT_KEYS = {
     "formats": (
         False,
-        lambda v: isinstance(v, list)
-        and len(v) >= 1
-        and all(x in ("csv", "json") for x in v),
-        "list drawn from ['csv', 'json']",
+        Rule(
+            "list drawn from ['csv', 'json']",
+            lambda v: isinstance(v, list) and len(v) >= 1 and all(x in ("csv", "json") for x in v),
+        ),
     ),
 }
 
@@ -195,38 +133,83 @@ class RunConfig:
     jobs: int = 1
 
 
-def _check_section(section: Dict[str, Any], schema: Dict[str, tuple], pointer: str):
+def _check_keys(section: Any, keys, pointer: str):
     if not isinstance(section, dict):
         raise SchemaError(pointer, "expected an object")
     for key in section:
-        if key not in schema:
+        if key not in keys:
             raise SchemaError(f"{pointer}/{key}", "unknown key")
-    for key, (required, check, want) in schema.items():
-        if key in section:
-            if not check(section[key]):
-                raise SchemaError(f"{pointer}/{key}", f"expected {want}")
-        elif required:
-            raise SchemaError(f"{pointer}/{key}", "required key missing")
 
 
-def _check_family(section: Dict[str, Any], pointer: str):
+@contextmanager
+def _errors_at(pointer: str, section: Dict[str, Any]):
+    """Re-raise a ParameterError as a SchemaError at pointer/<its config key>."""
+    try:
+        yield
+    except ParameterError as exc:
+        if exc.name is None:
+            raise SchemaError(pointer, exc.detail) from None
+        key = _JSON_KEY.get(exc.name, exc.name)
+        raise SchemaError(
+            f"{pointer}/{key}", exc.detail if key in section else "required key missing"
+        ) from None
+
+
+def _check_section(section: Any, schema: Dict[str, tuple], pointer: str):
+    _check_keys(section, schema, pointer)
+    with _errors_at(pointer, section):
+        for key, (required, rule) in schema.items():
+            if required or key in section:
+                rule.check(key, section.get(key))
+
+
+_NULL = object()  # stands for JSON null and for a missing required key; no rule admits it
+
+
+def _from_fields(cls, section: Dict[str, Any]):
+    """cls built from the config keys of its fields; other keys are ignored."""
+    # a null or missing value fails its field's rule in field order, as a bad
+    # value would; None itself is valid for sample_times, as "not given"
+    return cls(**{
+        _FIELD.get(key, key): _NULL if section.get(key) is None else section[key]
+        for key, required in _params(cls).items()
+        if required or key in section
+    })
+
+
+def _spectral_model(p: Dict[str, Any]) -> SpectralModel:
+    """The SpectralModel of a spectral_model family, checked key by key in schema order."""
+    _WHOLE.check("nu", p.get("nu"))
+    model = SpectralModel.with_rate(nu=p["nu"], alpha=p.get("alpha", 1.0))
+    if "omega0" in p:
+        model = SpectralModel(nu=p["nu"], omega0=p["omega0"])
+    at_least(8).check("exact_coefficients", p.get("exact_coefficients", 96))
+    if "alpha" in p and "omega0" in p:
+        raise ParameterError("omega0", "give either alpha or omega0, not both")
+    return model
+
+
+def _family(family: Dict[str, Any]):
+    """The family's sequence, or for spectral_model its SpectralModel (no moment problem)."""
+    with _errors_at("/family", family):
+        if family["kind"] == "spectral_model":
+            return _spectral_model(family)
+        return _from_fields(_FAMILIES[family["kind"]], family)
+
+
+def _check_family(section: Any):
     if not isinstance(section, dict):
-        raise SchemaError(pointer, "expected an object")
+        raise SchemaError("/family", "expected an object")
     kind = section.get("kind")
     if kind is None:
-        raise SchemaError(f"{pointer}/kind", "required key missing")
-    if not isinstance(kind, str) or kind not in _FAMILY_PARAMS:
-        raise SchemaError(
-            f"{pointer}/kind", f"unknown family; known: {sorted(_FAMILY_PARAMS)}"
-        )
-    schema = {"kind": (True, lambda v: True, "family name"), **_FAMILY_PARAMS[kind]}
-    _check_section(section, schema, pointer)
-    if kind == "spectral_model" and "alpha" in section and "omega0" in section:
-        raise SchemaError(f"{pointer}/omega0", "give either alpha or omega0, not both")
+        raise SchemaError("/family/kind", "required key missing")
+    if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
+        raise SchemaError("/family/kind", f"unknown family; known: {sorted(_FAMILY_KEYS)}")
+    _check_keys(section, ("kind", *_FAMILY_KEYS[kind]), "/family")
+    _family(section)
 
 
 _SECTION_KEYS = {
-    "evolve": _EVOLVE_KEYS,
     "fit": _FIT_KEYS,
     "moments": _MOMENTS_KEYS,
     "wnumber": _WNUMBER_KEYS,
@@ -239,9 +222,14 @@ _SECTION_FIELDS = ("family", "evolve", "fit", "moments", "wnumber")  # RunConfig
 def _check_sections(doc: Dict[str, Any], heads):
     """Validate, in order, the sections named in `heads` that doc has."""
     for head in heads:
-        if head == "family" and head in doc:
-            _check_family(doc[head], "/family")
-        elif head in doc:
+        if head not in doc:
+            continue
+        if head == "family":
+            _check_family(doc[head])
+        elif head == "evolve":
+            _check_keys(doc[head], _params(EvolveConfig), "/evolve")
+            build_evolve_config(doc[head])
+        else:
             _check_section(doc[head], _SECTION_KEYS[head], f"/{head}")
 
 
@@ -264,12 +252,8 @@ def _check_sweep_points(cfg: RunConfig):
 
 def parse_config(document: Any) -> RunConfig:
     """Validate a config document; raises SchemaError with a JSON pointer."""
-    if not isinstance(document, dict):
-        raise SchemaError("", "config must be a JSON object")
-    for key in document:
-        if key not in _TOP_KEYS:
-            raise SchemaError(f"/{key}", "unknown key")
-    _check_sections(document, ("family", *_SECTION_KEYS))
+    _check_keys(document, _TOP_KEYS, "")
+    _check_sections(document, ("family", "evolve", *_SECTION_KEYS))
     cfg = RunConfig(raw=document, **{h: document[h] for h in _SECTION_FIELDS if h in document})
     if "output" in document:
         cfg.output_formats = tuple(document["output"].get("formats", ["csv", "json"]))
@@ -288,7 +272,7 @@ def parse_config(document: Any) -> RunConfig:
         cfg.sweep = {k: list(v) for k, v in sweep.items()}
         _check_sweep_points(cfg)
     if "jobs" in document:
-        if not (_is_int(document["jobs"]) and document["jobs"] >= 1):
+        if not at_least(1).ok(document["jobs"]):
             raise SchemaError("/jobs", "expected integer >= 1")
         cfg.jobs = document["jobs"]
     return cfg
@@ -296,8 +280,6 @@ def parse_config(document: Any) -> RunConfig:
 
 def apply_sweep_point(config: Dict[str, Any], assignment: Dict[str, Any]) -> Dict[str, Any]:
     """Deep-copied config with dotted sweep assignments applied."""
-    import copy
-
     doc = copy.deepcopy(config)
     doc.pop("sweep", None)
     doc.pop("jobs", None)
@@ -323,29 +305,23 @@ def sweep_points(cfg: RunConfig) -> List[Dict[str, Any]]:
 
 def build_sequence(family: Dict[str, Any]) -> LanczosSequence:
     """LanczosSequence (or stitched spectral-model sequence) from a family dict."""
-    kind = family["kind"]
-    if kind == "spectral_model":
-        if "omega0" in family:
-            model = SpectralModel(nu=family["nu"], omega0=family["omega0"])
-        else:
-            model = SpectralModel.with_rate(nu=family["nu"], alpha=family.get("alpha", 1.0))
-        return spectral_model_sequence(
-            model, exact_count=family.get("exact_coefficients", 96)
-        )
-    params = {k: v for k, v in family.items() if k != "kind"}
-    return _FAMILY_BUILDERS[kind](params)
+    built = _family(family)
+    if isinstance(built, SpectralModel):
+        return spectral_model_sequence(built, exact_count=family.get("exact_coefficients", 96))
+    return built
 
 
 def build_evolve_config(evolve_section: Dict[str, Any]) -> EvolveConfig:
-    kw = dict(evolve_section)
-    if "sample_times" in kw:
-        kw["sample_times"] = tuple(kw["sample_times"])
-    return EvolveConfig(**kw)
+    with _errors_at("/evolve", evolve_section):
+        return _from_fields(EvolveConfig, evolve_section)
 
 
 CONFIG_SCHEMA_DOC = {
-    "family": {"kind": sorted(_FAMILY_PARAMS), "params": {k: sorted(v) for k, v in _FAMILY_PARAMS.items()}},
-    "evolve": sorted(_EVOLVE_KEYS),
+    "family": {
+        "kind": sorted(_FAMILY_KEYS),
+        "params": {k: sorted(v) for k, v in _FAMILY_KEYS.items()},
+    },
+    "evolve": sorted(_params(EvolveConfig)),
     "fit": sorted(_FIT_KEYS),
     "moments": sorted(_MOMENTS_KEYS),
     "wnumber": sorted(_WNUMBER_KEYS),

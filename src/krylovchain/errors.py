@@ -1,8 +1,69 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field rules that raise ParameterError.
+
+A dataclass declares what each field accepts with `param(rule)`, and
+`check_fields` applies the rules in field order.  The config schema is
+read from the same fields.
+"""
+
+import numbers
+import sys
+from dataclasses import MISSING, field, fields
+from typing import Any, Callable, NamedTuple
 
 
 class KrylovChainError(Exception):
     """Base class for all package errors."""
+
+
+class ParameterError(KrylovChainError, ValueError):
+    """A constructor argument is invalid; `name` is its field, or None when no single field is at fault."""
+
+    def __init__(self, name, detail):
+        self.name = name
+        self.detail = detail
+        super().__init__(f"{name}: {detail}" if name else detail)
+
+
+class Rule(NamedTuple):
+    """The values a field accepts: `ok` tests one, `want` describes them."""
+
+    want: str
+    ok: Callable[[Any], bool]
+
+    def check(self, name: str, value: Any) -> None:
+        if not self.ok(value):
+            raise ParameterError(name, f"expected {self.want}")
+
+
+def _real(v) -> bool:
+    """A real number that a float holds finitely; a bool is not a number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+NUMBER = Rule("number", _real)
+POSITIVE = Rule("positive number", lambda v: _real(v) and v > 0)
+NON_NEGATIVE = Rule("number >= 0", lambda v: _real(v) and v >= 0)
+UNIT = Rule("number in (0, 1)", lambda v: _real(v) and 0 < v < 1)
+
+
+def at_least(lo: int) -> Rule:
+    return Rule(f"integer >= {lo}", lambda v: _real(v) and isinstance(v, numbers.Integral) and v >= lo)
+
+
+def one_of(*names: str) -> Rule:
+    return Rule("one of " + ", ".join(map(repr, names)), lambda v: isinstance(v, str) and v in names)
+
+
+def param(rule: Rule, default: Any = MISSING):
+    """A dataclass field whose values must satisfy `rule`."""
+    return field(default=default, metadata={"rule": rule})
+
+
+def check_fields(obj) -> None:
+    """Raise ParameterError for the first field of a dataclass that breaks its rule."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            f.metadata["rule"].check(f.name, getattr(obj, f.name))
 
 
 class SupportExceededError(KrylovChainError):

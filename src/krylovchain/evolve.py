@@ -44,7 +44,18 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ResourceLimitError, StiffnessError
+from .errors import (
+    NON_NEGATIVE,
+    POSITIVE,
+    UNIT,
+    ResourceLimitError,
+    Rule,
+    StiffnessError,
+    at_least,
+    check_fields,
+    one_of,
+    param,
+)
 from .sequences import LanczosSequence
 
 __all__ = ["WaveState", "EvolveConfig", "rhs", "active_window_policy", "evolve", "METHODS"]
@@ -59,6 +70,16 @@ _COMPOSITIONS = {
     "trapezoidal": ((1.0,), 2),
 }
 METHODS = tuple(_COMPOSITIONS) + ("rk45",)
+_GROWTH = 1.5  # multiplicative window growth after a guard-band violation
+_TIMES = Rule(
+    "increasing list of numbers >= 0",
+    lambda v: v is None
+    or (
+        isinstance(v, (list, tuple))
+        and all(map(NON_NEGATIVE.ok, v))
+        and all(b > a for a, b in zip(v, v[1:]))
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -87,47 +108,26 @@ class WaveState:
 class EvolveConfig:
     """Evolution settings; all tolerances are dimensionless."""
 
-    t_max: float
-    samples: int = 100
-    grid: str = "uniform"  # "uniform" | "log"
-    sample_times: Optional[Tuple[float, ...]] = None
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    truncation_tol: float = 1e-12
-    guard_band: int = 8
-    max_active_size: int = 4_000_000
-    growth_factor: float = 1.5
-    method: str = "cayley4"  # one of METHODS
-    log_decades: float = 3.0
+    t_max: float = param(POSITIVE)
+    samples: int = param(at_least(1), 100)
+    grid: str = param(one_of("uniform", "log"), "uniform")
+    sample_times: Optional[Tuple[float, ...]] = param(_TIMES, None)
+    rel_tol: float = param(UNIT, 1e-9)
+    abs_tol: float = param(UNIT, 1e-12)
+    truncation_tol: float = param(UNIT, 1e-12)
+    guard_band: int = param(at_least(4), 8)
+    max_active_size: int = param(at_least(16), 4_000_000)
+    method: str = param(one_of(*METHODS), "cayley4")
+    log_decades: float = param(POSITIVE, 3.0)
 
     def __post_init__(self):
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
-        for name in ("rel_tol", "abs_tol", "truncation_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1)")
-        if self.guard_band < 4:
-            raise ValueError("guard_band must be >= 4")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.grid not in ("uniform", "log"):
-            raise ValueError("grid must be 'uniform' or 'log'")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {', '.join(METHODS)}")
-        if self.growth_factor <= 1.0:
-            raise ValueError("growth_factor must exceed 1")
-        if self.log_decades <= 0:
-            raise ValueError("log_decades must be positive")
+        check_fields(self)
+        if self.sample_times is not None:
+            object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
 
     def resolve_sample_times(self) -> Tuple[float, ...]:
         if self.sample_times is not None:
-            ts = tuple(float(t) for t in self.sample_times)
-            if any(t < 0 for t in ts) or any(
-                t2 <= t1 for t1, t2 in zip(ts, ts[1:])
-            ):
-                raise ValueError("sample_times must be non-negative and increasing")
-            return ts
+            return self.sample_times
         if self.grid == "uniform":
             return tuple(np.linspace(0.0, self.t_max, self.samples + 1))
         lo = self.t_max * 10.0 ** (-self.log_decades)
@@ -172,7 +172,7 @@ def active_window_policy(state: WaveState, cfg: EvolveConfig) -> int:
     n = state.active_size
     if state.tail_mass <= cfg.truncation_tol:
         return n
-    grown = min(math.ceil(cfg.growth_factor * n), cfg.max_active_size)
+    grown = min(math.ceil(_GROWTH * n), cfg.max_active_size)
     # never shrink below the occupied region
     occupied = np.nonzero(state.amplitudes ** 2 > cfg.truncation_tol)[0]
     floor = int(occupied[-1]) + 1 if len(occupied) else 1
@@ -248,10 +248,7 @@ class _Window:
             norm_error=0.0,
             tail_mass=self.tail_mass(),
         )
-        new_n = active_window_policy(st, self.cfg)
-        if new_n <= self.n:
-            new_n = min(math.ceil(self.cfg.growth_factor * self.n), self.cap)
-        self.resize(new_n)
+        self.resize(active_window_policy(st, self.cfg))
 
 
 class _CayleyStepper:

@@ -8,7 +8,9 @@ beyond their support; evaluating them there raises SupportExceededError
 so silent zeros never leak into formulas that expect b_n > 0.
 
 All sequence types are frozen dataclasses: immutable after construction
-and safe to share across workers.
+and safe to share across workers.  Each field declares the values it
+accepts (see errors.param), and every family also requires b_1 to be
+positive and finite; a violation raises ParameterError, a ValueError.
 """
 
 from __future__ import annotations
@@ -19,7 +21,17 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import SupportExceededError
+from .errors import (
+    NUMBER,
+    POSITIVE,
+    UNIT,
+    ParameterError,
+    Rule,
+    SupportExceededError,
+    at_least,
+    check_fields,
+    param,
+)
 
 __all__ = [
     "LanczosSequence",
@@ -38,9 +50,24 @@ __all__ = [
     "eval_bn",
 ]
 
+_POSITIVE_LIST = Rule(
+    "non-empty list of positive numbers",
+    lambda v: isinstance(v, (list, tuple)) and len(v) >= 1 and all(map(POSITIVE.ok, v)),
+)
+HALF_INTEGER = Rule(
+    "positive integer or half integer", lambda v: POSITIVE.ok(v) and float(2 * v).is_integer()
+)
+
 
 class LanczosSequence:
     """Base class; concrete families implement _b_bulk on float arrays."""
+
+    def __post_init__(self):
+        check_fields(self)
+        with np.errstate(all="ignore"):
+            v = float(self._b_bulk(np.asarray([1.0]))[0])
+        if not (v > 0.0 and math.isfinite(v)):
+            raise ParameterError(None, f"{type(self).__name__}: b_1 = {v} is not a positive finite value")
 
     @property
     def support(self) -> Optional[int]:
@@ -72,24 +99,13 @@ class LanczosSequence:
             out[:hi] = self._b_bulk(np.arange(float(start), start + hi))
         return out
 
-    def _check_first(self) -> None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = float(self._b_bulk(np.asarray([1.0]))[0])
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"{type(self).__name__}: b_1 = {v} is not a positive finite value")
-
 
 @dataclass(frozen=True)
 class Linear(LanczosSequence):
     """b_n = alpha*n + gamma (asymptotically linear growth)."""
 
-    alpha: float
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self._check_first()
+    alpha: float = param(POSITIVE)
+    gamma: float = param(NUMBER, 0.0)
 
     def _b_bulk(self, n):
         return self.alpha * n + self.gamma
@@ -99,12 +115,8 @@ class Linear(LanczosSequence):
 class SykLike(LanczosSequence):
     """b_n = alpha*sqrt(n*(n - 1 + eta)), eta > 0."""
 
-    alpha: float
-    eta: float
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.eta <= 0:
-            raise ValueError("alpha and eta must be positive")
+    alpha: float = param(POSITIVE)
+    eta: float = param(POSITIVE)
 
     def _b_bulk(self, n):
         return self.alpha * np.sqrt(n * (n - 1.0 + self.eta))
@@ -114,11 +126,7 @@ class SykLike(LanczosSequence):
 class SqrtGrowth(LanczosSequence):
     """b_n = alpha*sqrt(n)."""
 
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+    alpha: float = param(POSITIVE)
 
     def _b_bulk(self, n):
         return self.alpha * np.sqrt(n)
@@ -128,15 +136,8 @@ class SqrtGrowth(LanczosSequence):
 class Su2(LanczosSequence):
     """b_n = alpha*sqrt(n*(2j - n + 1)) on the finite support 1 <= n <= 2j."""
 
-    alpha: float
-    j: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        two_j = 2.0 * self.j
-        if two_j < 1 or abs(two_j - round(two_j)) > 1e-12:
-            raise ValueError("j must be a positive integer or half integer")
+    alpha: float = param(POSITIVE)
+    j: float = param(HALF_INTEGER)
 
     @property
     def two_j(self) -> int:
@@ -154,14 +155,8 @@ class Su2(LanczosSequence):
 class PowerLaw(LanczosSequence):
     """b_n = alpha*n**delta with 0 < delta < 1."""
 
-    alpha: float
-    delta: float
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
+    alpha: float = param(POSITIVE)
+    delta: float = param(UNIT)
 
     def _b_bulk(self, n):
         return self.alpha * n ** self.delta
@@ -169,22 +164,14 @@ class PowerLaw(LanczosSequence):
 
 @dataclass(frozen=True)
 class PowerLog(LanczosSequence):
-    """b_n = alpha*n**delta * ln(n+1)**sign, sign = +1 or -1.
+    """b_n = alpha*n**delta * ln(n+1)**sign, sign = +1 or -1 (not a bool).
 
     The logarithm uses n+1 so that b_1 stays positive and finite.
     """
 
-    alpha: float
-    delta: float
-    sign: int
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+    alpha: float = param(POSITIVE)
+    delta: float = param(UNIT)
+    sign: int = param(Rule("+1 or -1", lambda v: NUMBER.ok(v) and v in (1, -1)))
 
     def _b_bulk(self, n):
         return self.alpha * n ** self.delta * np.log(n + 1.0) ** self.sign
@@ -194,16 +181,9 @@ class PowerLog(LanczosSequence):
 class LogCorrectedLinear(LanczosSequence):
     """b_n = alpha*n / ln(n + offset)**sigma, sigma > 0."""
 
-    alpha: float
-    sigma: float = 1.0
-    offset: int = 1
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.sigma <= 0:
-            raise ValueError("alpha and sigma must be positive")
-        if self.offset < 0 or self.offset != int(self.offset):
-            raise ValueError("offset must be a non-negative integer")
-        self._check_first()
+    alpha: float = param(POSITIVE)
+    sigma: float = param(POSITIVE, 1.0)
+    offset: int = param(at_least(0), 1)
 
     def _b_bulk(self, n):
         return self.alpha * n / np.log(n + self.offset) ** self.sigma
@@ -213,16 +193,9 @@ class LogCorrectedLinear(LanczosSequence):
 class LogGrowth(LanczosSequence):
     """b_n = alpha*ln(n + offset) + gamma0."""
 
-    alpha: float
-    gamma0: float = 0.0
-    offset: int = 1
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.offset < 0 or self.offset != int(self.offset):
-            raise ValueError("offset must be a non-negative integer")
-        self._check_first()
+    alpha: float = param(POSITIVE)
+    gamma0: float = param(NUMBER, 0.0)
+    offset: int = param(at_least(0), 1)
 
     def _b_bulk(self, n):
         return self.alpha * np.log(n + self.offset) + self.gamma0
@@ -232,44 +205,32 @@ class LogGrowth(LanczosSequence):
 class Constant(LanczosSequence):
     """b_n = b for all n."""
 
-    b_value: float
-
-    def __post_init__(self):
-        if self.b_value <= 0:
-            raise ValueError("b must be positive")
+    b_value: float = param(POSITIVE)
 
     def _b_bulk(self, n):
-        return np.full(n.shape, self.b_value)
+        return np.full(n.shape, self.b_value, dtype=float)
 
 
 @dataclass(frozen=True)
 class ConstantWithFirst(LanczosSequence):
     """b_1 = b_first, b_n = b for n >= 2."""
 
-    b_first: float
-    b_value: float
-
-    def __post_init__(self):
-        if self.b_first <= 0 or self.b_value <= 0:
-            raise ValueError("coefficients must be positive")
+    b_first: float = param(POSITIVE)
+    b_value: float = param(POSITIVE)
 
     def _b_bulk(self, n):
-        return np.where(n < 1.5, self.b_first, self.b_value)
+        return np.where(n < 1.5, float(self.b_first), float(self.b_value))
 
 
 @dataclass(frozen=True)
 class Explicit(LanczosSequence):
     """Finite chain defined by an explicit list b_1 .. b_K; b_n = 0 for n > K."""
 
-    coefficients: Tuple[float, ...]
+    coefficients: Tuple[float, ...] = param(_POSITIVE_LIST)
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
-        if len(coeffs) == 0:
-            raise ValueError("explicit sequence needs at least one coefficient")
-        if any(not (c > 0 and math.isfinite(c)) for c in coeffs):
-            raise ValueError("explicit coefficients must be positive and finite")
+        super().__post_init__()
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
     @property
     def support(self):
@@ -293,22 +254,16 @@ class StitchedSequence(LanczosSequence):
     but the asymptotic slope is known.
     """
 
-    head: Tuple[float, ...]
-    alpha: float
-    gamma_even: float = 0.0
-    gamma_odd: float = 0.0
-    c_even: float = 0.0
-    c_odd: float = 0.0
+    head: Tuple[float, ...] = param(_POSITIVE_LIST)
+    alpha: float = param(POSITIVE)
+    gamma_even: float = param(NUMBER, 0.0)
+    gamma_odd: float = param(NUMBER, 0.0)
+    c_even: float = param(NUMBER, 0.0)
+    c_odd: float = param(NUMBER, 0.0)
 
     def __post_init__(self):
-        head = tuple(float(c) for c in self.head)
-        object.__setattr__(self, "head", head)
-        if len(head) == 0:
-            raise ValueError("stitched sequence needs a non-empty head")
-        if any(not (c > 0 and math.isfinite(c)) for c in head):
-            raise ValueError("head coefficients must be positive and finite")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        super().__post_init__()
+        object.__setattr__(self, "head", tuple(float(c) for c in self.head))
 
     def _b_bulk(self, n):
         k = np.asarray(np.rint(n), dtype=int)

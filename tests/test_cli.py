@@ -160,8 +160,33 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
             {**BASE_EVOLVE, "family": {"kind": "spectral_model", "nu": 0.5, "omega0": 1.0}},
             "/family/nu",
         ),
+        # b_1 = alpha + gamma = -1
+        ({**BASE_EVOLVE, "family": {"kind": "linear", "alpha": 1, "gamma": -2}}, "/family"),
+        # b_1 = ln(1) = 0
+        ({**BASE_EVOLVE, "family": {"kind": "log_growth", "alpha": 1, "offset": 0}}, "/family"),
+        # b_1 = 1 / ln(1) = inf
+        (
+            {**BASE_EVOLVE, "family": {"kind": "log_corrected_linear", "alpha": 1, "offset": 0}},
+            "/family",
+        ),
+        # b_1 = alpha sqrt(eta) overflows
+        ({**BASE_EVOLVE, "family": {"kind": "syk_like", "alpha": 1e308, "eta": 1e308}}, "/family"),
+        (
+            {**BASE_EVOLVE, "family": {"kind": "power_log", "alpha": 1, "delta": 0.5, "sign": True}},
+            "/family/sign",
+        ),
     ],
-    ids=["swept_eta", "decreasing_sample_times", "su2_fractional_j", "spectral_fractional_nu"],
+    ids=[
+        "swept_eta",
+        "decreasing_sample_times",
+        "su2_fractional_j",
+        "spectral_fractional_nu",
+        "linear_negative_b1",
+        "log_growth_zero_b1",
+        "log_corrected_linear_infinite_b1",
+        "syk_like_overflowing_b1",
+        "power_log_bool_sign",
+    ],
 )
 def test_invalid_values_exit_2_before_running(tmp_path, doc, pointer):
     cfg = write_config(tmp_path / "c.json", doc)

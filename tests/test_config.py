@@ -1,11 +1,15 @@
 """Config schema validation and sequence construction."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from krylovchain import SchemaError, SykLike
 from krylovchain.config import (
+    CONFIG_SCHEMA_DOC,
     apply_sweep_point,
     build_evolve_config,
     build_sequence,
@@ -226,3 +230,83 @@ def test_every_documented_example_validates():
         cfg = parse_config(doc)  # must not raise
         if cfg.family is not None and cfg.family["kind"] != "spectral_model":
             build_sequence(cfg.family)
+
+
+def test_schema_doc_tables_match_the_schema():
+    text = (Path(__file__).parent.parent / "docs" / "config-schema.md").read_text()
+
+    def rows(section):
+        body = text.split(f"## `{section}`\n", 1)[1].split("\n## ", 1)[0]
+        return [line.split("|")[1:3] for line in body.splitlines() if line.startswith("| `")]
+
+    family = {kind.strip(" `"): sorted(re.findall(r"`(\w+)`", params)) for kind, params in rows("family")}
+    assert family == CONFIG_SCHEMA_DOC["family"]["params"]
+    evolve = sorted(name for keys, _ in rows("evolve") for name in re.findall(r"`(\w+)`", keys))
+    assert evolve == CONFIG_SCHEMA_DOC["evolve"]
+
+
+DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+_PARAMS = CONFIG_SCHEMA_DOC["family"]["params"]
+_NAMES = sorted(
+    {*CONFIG_SCHEMA_DOC, "kind", *_PARAMS, *(k for keys in _PARAMS.values() for k in keys)}
+    | {k for head in ("evolve", "fit", "moments", "wnumber", "output") for k in CONFIG_SCHEMA_DOC[head]}
+    | {f"{head}.{k}" for head in ("family", "evolve") for k in ("kind", "alpha", "t_max", "samples")}
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([*_NAMES, 10**400]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_NAMES) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=16,
+)
+
+
+@DETERMINISTIC
+@given(json_values)
+def test_arbitrary_json_raises_only_schema_error(doc):
+    try:
+        parse_config(doc)
+    except SchemaError:
+        pass
+
+
+# numbers on both sides of the rules' bounds, overflow, a bool and lists
+_values = (
+    st.floats(-2.0, 3.0)
+    | st.integers(-1, 3)
+    | st.sampled_from([1e308, True])
+    | st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=3)
+)
+evolve_sections = st.fixed_dictionaries(
+    {"t_max": _values},
+    optional=dict.fromkeys(
+        set(CONFIG_SCHEMA_DOC["evolve"]) - {"t_max"}, _values | st.sampled_from(["log", "rk45"])
+    ),
+)
+
+
+def _accepted(doc):
+    try:
+        parse_config(doc)
+    except SchemaError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in _PARAMS if k != "spectral_model"))
+@DETERMINISTIC
+@given(st.data())
+def test_accepted_families_build(kind, data):
+    family = data.draw(
+        st.fixed_dictionaries({"kind": st.just(kind)}, optional=dict.fromkeys(_PARAMS[kind], _values))
+    )
+    if _accepted({"family": family}):
+        build_sequence(family)
+
+
+@DETERMINISTIC
+@given(evolve_sections)
+def test_accepted_evolve_sections_build(evolve):
+    if _accepted({"evolve": evolve}):
+        build_evolve_config(evolve)

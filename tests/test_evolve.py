@@ -440,7 +440,7 @@ class TestWindowPolicy:
         amps = np.zeros(100)
         amps[0] = 1.0
         amps[90] = 1e-3
-        cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12, max_active_size=105, growth_factor=1.01)
+        cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12, max_active_size=105)
         st = make_state(amps, tail=1e-6)
         assert active_window_policy(st, cfg) >= 91
 
