@@ -6,9 +6,11 @@ The amplitudes phi_0..phi_{N-1} obey the hopping system
     phi_n(0) = delta_{n0},  b_0 = 0,
 
 whose generator is antisymmetric, so the exact flow conserves
-sum phi_n^2.  The active window [0, N) is finite and grows on demand: a
-guard band of trailing sites is monitored and the window is extended
-multiplicatively whenever its mass exceeds the truncation tolerance.
+sum phi_n^2.  The active window [0, N) is finite and grows on demand by
+one rule, to ceil(1.12 N) + guard_band sites: before a step when the
+trailing guard band holds more than 1 % of the truncation tolerance, and
+after a step whose guard band holds more than the tolerance, which is
+then redone on the grown window.
 
 Two stepper families are provided (METHODS names them):
 
@@ -70,12 +72,12 @@ _COMPOSITIONS = {
     "trapezoidal": ((1.0,), 2),
 }
 METHODS = tuple(_COMPOSITIONS) + ("rk45",)
-_GROWTH = 1.5  # multiplicative window growth after a guard-band violation
 _TIMES = Rule(
-    "increasing list of numbers >= 0",
+    "non-empty increasing list of numbers >= 0",
     lambda v: v is None
     or (
         isinstance(v, (list, tuple))
+        and len(v) > 0
         and all(map(NON_NEGATIVE.ok, v))
         and all(b > a for a, b in zip(v, v[1:]))
     ),
@@ -167,16 +169,15 @@ def _even_from_odd(cp: np.ndarray, cq: np.ndarray, o: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grown(n: int, cfg: EvolveConfig) -> int:
+    """The window growth rule: the size that follows n sites."""
+    return min(math.ceil(1.12 * n) + cfg.guard_band, cfg.max_active_size)
+
+
 def active_window_policy(state: WaveState, cfg: EvolveConfig) -> int:
     """Next window size: unchanged unless the guard band carries too much mass."""
     n = state.active_size
-    if state.tail_mass <= cfg.truncation_tol:
-        return n
-    grown = min(math.ceil(_GROWTH * n), cfg.max_active_size)
-    # never shrink below the occupied region
-    occupied = np.nonzero(state.amplitudes ** 2 > cfg.truncation_tol)[0]
-    floor = int(occupied[-1]) + 1 if len(occupied) else 1
-    return max(grown, floor)
+    return n if state.tail_mass <= cfg.truncation_tol else _grown(n, cfg)
 
 
 class _Window:
@@ -219,11 +220,25 @@ class _Window:
         self.y = y
 
     def ensure_headroom(self) -> None:
-        """Grow ahead of the front so steps rarely need retrying."""
-        if self.n >= self.cap:
-            return
+        """Grow ahead of the front so steps rarely need redoing."""
         if self.tail_mass() > 0.01 * self.cfg.truncation_tol:
-            self.resize(math.ceil(1.12 * self.n) + self.cfg.guard_band)
+            self.resize(_grown(self.n, self.cfg))
+
+    def accept(self, y: np.ndarray, y0: np.ndarray, t: float) -> bool:
+        """Take the step y from y0 at t unless its guard band holds more than truncation_tol.
+
+        A refused step grows the window and puts back y0, zero-padded, so
+        the caller redoes it; at the cap it raises ResourceLimitError
+        reporting t.
+        """
+        self.y = y
+        if self.tail_mass() <= self.cfg.truncation_tol:
+            return True
+        if self.n >= self.cap:
+            raise ResourceLimitError(t, self.cfg.max_active_size)
+        self.y = y0
+        self.resize(_grown(self.n, self.cfg))
+        return False
 
     def state(self, t: float) -> WaveState:
         norm_err = abs(float(np.sum(self.y ** 2)) - 1.0)
@@ -234,21 +249,6 @@ class _Window:
             norm_error=norm_err,
             tail_mass=self.tail_mass(),
         )
-
-    def grow_after_violation(self, t: float) -> None:
-        """Grow per policy; call while self.y still holds the violating state."""
-        if self.n >= self.cap:
-            if self.finite:
-                return  # finite chain fully resolved; no truncation exists
-            raise ResourceLimitError(t, self.cfg.max_active_size)
-        st = WaveState(
-            t=t,
-            amplitudes=self.y,
-            active_size=self.n,
-            norm_error=0.0,
-            tail_mass=self.tail_mass(),
-        )
-        self.resize(active_window_policy(st, self.cfg))
 
 
 class _CayleyStepper:
@@ -399,18 +399,20 @@ class _CayleyStepper:
     def _rate(self, y: np.ndarray, dy: np.ndarray) -> float:
         """||d phi/dt|| / ||phi|| restricted to the populated sites; dy = A y.
 
-        The mask is dilated by two sites so the first step away from a
-        point-localized state still sees the outgoing derivative.
+        The populated sites are the range from the first to the last site
+        above 1e-3 of the peak, widened by two sites each way so the first
+        step away from a point-localized state still sees the outgoing
+        derivative.
         """
-        peak = float(np.max(np.abs(y)))
+        mag = np.abs(y)
+        peak = float(mag.max())
         if peak == 0.0:
             return 1.0
-        mask = np.abs(y) > 1e-3 * peak
-        for _ in range(2):
-            mask[1:] |= mask[:-1]
-            mask[:-1] |= mask[1:]
-        num = float(np.sqrt(np.sum(dy[mask] ** 2)))
-        den = float(np.sqrt(np.sum(y[mask] ** 2)))
+        big = mag > 1e-3 * peak
+        lo = max(int(big.argmax()) - 2, 0)
+        hi = len(y) - int(big[::-1].argmax()) + 2
+        num = float(np.sqrt(np.sum(dy[lo:hi] ** 2)))
+        den = float(np.sqrt(np.sum(y[lo:hi] ** 2)))
         return max(num / max(den, 1e-300), 1e-300)
 
     def _pick_dt(self, remaining: float, y: np.ndarray, dy: np.ndarray) -> float:
@@ -420,7 +422,6 @@ class _CayleyStepper:
 
     def advance(self, t: float, t_target: float) -> float:
         """Advance to t_target; returns the time reached."""
-        cfg = self.cfg
         eps = 1e-12 * max(1.0, abs(t_target))
         # the clock is start + k h while the step rule keeps a plan of m equal
         # steps, so rounding does not gather in t and h stays bit-identical
@@ -428,7 +429,7 @@ class _CayleyStepper:
         while t < t_target - eps:
             self.w.ensure_headroom()
             # one A phi per step serves both the step rule and the update;
-            # _apply leaves y0 intact for the redo below
+            # _apply leaves y0 intact for a redo
             y0 = self.w.y
             dy = _hop(self.w.b[: self.w.n - 1], y0)
             h_rule = self._pick_dt(t_target - t, y0, dy)
@@ -437,18 +438,11 @@ class _CayleyStepper:
                 start, k, m, h = t, 0, steps, h_rule
             if h < 1e-13 * max(1.0, abs(t_target)):
                 raise StiffnessError(t, h, "step size underflow")
-            self.w.y = self._apply(h, y0, dy)
+            y = self._apply(h, y0, dy)
             del dy  # free it before a window growth allocates
-            if self.w.tail_mass() > cfg.truncation_tol:
-                # window too small for this step: grow (sized off the
-                # violating state), restore, and redo the step
-                self.w.grow_after_violation(t)
-                restored = np.zeros(self.w.n)
-                restored[: len(y0)] = y0
-                self.w.y = restored
-                continue
-            k += 1
-            t = start + k * h
+            if self.w.accept(y, y0, t):
+                k += 1
+                t = start + k * h
         return t
 
 
@@ -508,7 +502,7 @@ class _RK45Stepper:
             b_max = float(self.w.b.max()) if len(self.w.b) else 1.0
             dt_stab = 0.5 / max(b_max, 1e-300)
             h = min(dt, dt_stab, t_target - t)
-            y0 = self.w.y.copy()
+            y0 = self.w.y
             while True:
                 k = [self._deriv(y0)]
                 for row in _DP_A[1:]:
@@ -532,15 +526,9 @@ class _RK45Stepper:
                 h *= max(0.2, 0.9 * err ** -0.2)
                 if h < 1e-13 * max(1.0, abs(t)):
                     raise StiffnessError(t, h, "rk45 step rejected to underflow")
-            self.w.y = y5
-            t += h
-            if self.w.tail_mass() > cfg.truncation_tol:
-                t -= h
-                self.w.grow_after_violation(t)
-                restored = np.zeros(self.w.n)
-                restored[: len(y0)] = y0
-                self.w.y = restored
+            if not self.w.accept(y5, y0, t):
                 continue
+            t += h
             if err > 0.0:
                 dt = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
             else:

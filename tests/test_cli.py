@@ -175,6 +175,11 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
             {**BASE_EVOLVE, "family": {"kind": "power_log", "alpha": 1, "delta": 0.5, "sign": True}},
             "/family/sign",
         ),
+        ({**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": []}}, "/evolve/sample_times"),
+        (
+            {**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": [], "method": "rk45"}},
+            "/evolve/sample_times",
+        ),
     ],
     ids=[
         "swept_eta",
@@ -186,6 +191,8 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
         "log_corrected_linear_infinite_b1",
         "syk_like_overflowing_b1",
         "power_log_bool_sign",
+        "empty_sample_times_cayley4",
+        "empty_sample_times_rk45",
     ],
 )
 def test_invalid_values_exit_2_before_running(tmp_path, doc, pointer):

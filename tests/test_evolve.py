@@ -27,6 +27,7 @@ from krylovchain.closedforms import (
     su2_wavefunction,
     syk_wavefunction,
 )
+from krylovchain.evolve import METHODS
 
 
 def make_state(amps, t=0.0, tail=0.0):
@@ -412,12 +413,38 @@ def test_finite_chain_window_never_exceeds_support():
         assert st.tail_mass == 0.0
 
 
-def test_resource_limit_reports_time():
-    cfg = EvolveConfig(t_max=6.0, samples=12, max_active_size=64)
+@pytest.mark.parametrize("method", METHODS)
+def test_resource_limit_reports_time(method):
+    cfg = EvolveConfig(t_max=6.0, samples=12, max_active_size=64, method=method)
     with pytest.raises(ResourceLimitError) as info:
         list(evolve(SykLike(1.0, 1.0), cfg))
     assert 0.0 < info.value.t_reached < 6.0
     assert info.value.max_active_size == 64
+
+
+def test_window_refuses_step_that_fills_guard_band():
+    # both steppers hand each step to _Window.accept, which grows by the
+    # same rule as the headroom check and puts back the zero-padded start
+    from krylovchain.evolve import _Window
+
+    cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12, max_active_size=1000)
+    w = _Window(SykLike(1.0, 1.0), cfg, None)
+    y0 = w.y
+    n0 = w.n
+    ok = y0.copy()
+    ok[-1] = 1e-7  # guard-band mass 1e-14 <= truncation_tol
+    assert w.accept(ok, y0, 0.5)
+    assert w.y is ok and w.n == n0
+    leak = ok.copy()
+    leak[-1] = 1e-5  # guard-band mass 1e-10 > truncation_tol
+    assert not w.accept(leak, ok, 0.5)
+    grown = active_window_policy(make_state(leak, t=0.5, tail=1e-10), cfg)
+    assert grown > n0 and w.n == grown
+    assert np.array_equal(w.y[:n0], ok) and not w.y[n0:].any()
+    assert len(w.b) == grown
+    headroom = _Window(SykLike(1.0, 1.0), cfg, leak)
+    headroom.ensure_headroom()
+    assert headroom.n == grown
 
 
 class TestWindowPolicy:
@@ -429,7 +456,8 @@ class TestWindowPolicy:
 
     def test_multiplicative_growth(self):
         st = make_state(np.ones(100) / 10.0, tail=1e-6)
-        assert active_window_policy(st, self.CFG) == 150
+        # ceil(1.12 * 100) is 113 in floating point, plus the guard band of 8
+        assert active_window_policy(st, self.CFG) == 121
 
     def test_clamped_at_max(self):
         cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12, max_active_size=120)
