@@ -23,6 +23,7 @@ from .closedforms import (
     table1_reference,
 )
 from .errors import (
+    ArtifactError,
     ConvergenceError,
     InsufficientDataError,
     InvalidMomentSequenceError,

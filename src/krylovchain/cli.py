@@ -9,17 +9,19 @@ Subcommands:
   wnumber  classify the ergodicity indicator W for a family
   modes    mode decomposition of an explicit finite chain
 
-Exit codes: 0 success, 2 usage/window/schema error, 3 bound violation,
-4 invalid moments, 5 resource limit.
+Exit codes: 0 success, 2 usage/window/schema/series-artifact error,
+3 bound violation, 4 invalid moments or exhausted precision, 5 resource limit.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import inspect
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +35,9 @@ from .config import (
     sweep_points,
 )
 from .errors import (
+    ArtifactError,
     InvalidMomentSequenceError,
+    PrecisionExhaustedError,
     ResourceLimitError,
     SchemaError,
     WindowError,
@@ -46,6 +50,7 @@ from .outputs import (
     load_series,
     write_fit_plot,
     write_fit_report,
+    write_json,
     write_manifest,
     write_series_csv,
     write_series_json,
@@ -57,6 +62,15 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 EXIT_MOMENTS = 4
 EXIT_RESOURCE = 5
+
+_EXIT_CODES = {
+    SchemaError: EXIT_USAGE,
+    WindowError: EXIT_USAGE,
+    ArtifactError: EXIT_USAGE,
+    InvalidMomentSequenceError: EXIT_MOMENTS,
+    PrecisionExhaustedError: EXIT_MOMENTS,
+    ResourceLimitError: EXIT_RESOURCE,
+}
 
 
 def _load_config(path: str):
@@ -108,21 +122,36 @@ def _run_one_point(args):
     return written, errors
 
 
+def _out_dir(ns) -> Path:
+    out_dir = Path(ns.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _write_manifest(out_dir: Path, written, doc) -> None:
+    generated_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    write_manifest(out_dir, written, doc, generated_at=generated_at)
+
+
+def _keywords(fn, section: dict) -> dict:
+    """The entries of section that name parameters of fn."""
+    params = inspect.signature(fn).parameters
+    return {k: v for k, v in section.items() if k in params}
+
+
 def _cmd_evolve(ns) -> int:
     doc, cfg = _load_config(ns.config)
     if cfg.family is None:
         raise SchemaError("/family", "required for evolve")
     if cfg.evolve is None:
         raise SchemaError("/evolve", "required for evolve")
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(ns)
     points = sweep_points(cfg)
     jobs = ns.jobs if ns.jobs is not None else cfg.jobs
     formats = cfg.output_formats if ns.format is None else (
         ("csv", "json") if ns.format == "both" else (ns.format,)
     )
     tasks = [(doc, str(out_dir), formats, i, pt) for i, pt in enumerate(points)]
-    results = []
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one_point, tasks))
@@ -130,12 +159,7 @@ def _cmd_evolve(ns) -> int:
         results = [_run_one_point(t) for t in tasks]
     written = [Path(p) for paths, _ in results for p in paths]
     errors = [e for _, errs in results for e in errs]
-    write_manifest(
-        out_dir,
-        written,
-        doc,
-        generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
+    _write_manifest(out_dir, written, doc)
     for p in written:
         print(p)
     if errors:
@@ -147,33 +171,17 @@ def _cmd_evolve(ns) -> int:
 def _cmd_fit(ns) -> int:
     doc, cfg = _load_config(ns.config) if ns.config else ({}, None)
     fit_cfg = cfg.fit if cfg is not None else {}
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(ns)
     exit_code = EXIT_OK
     written = []
     for series_path in ns.series:
         p = Path(series_path)
-        if not p.exists():
-            print(f"series artifact not found: {p}", file=sys.stderr)
-            return EXIT_USAGE
         series = load_series(p)
         try:
-            window = select_window(
-                series,
-                c_min=fit_cfg.get("c_min", 50.0),
-                c_max=fit_cfg.get("c_max"),
-                t_min=fit_cfg.get("t_min"),
-                t_max=fit_cfg.get("t_max"),
-            )
-            fit = fit_log_relation(
-                series,
-                window,
-                include_lnln=fit_cfg.get("include_lnln", False),
-                weighting=fit_cfg.get("weighting", "logc"),
-            )
+            window = select_window(series, **{"c_min": 50.0, **_keywords(select_window, fit_cfg)})
+            fit = fit_log_relation(series, window, **_keywords(fit_log_relation, fit_cfg))
         except WindowError as exc:
-            print(f"{p.name}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise WindowError(f"{p.name}: {exc}") from None
         report = out_dir / f"{p.stem}_fit.json"
         plot = out_dir / f"{p.stem}_fit.svg"
         write_fit_report(report, fit)
@@ -184,12 +192,7 @@ def _cmd_fit(ns) -> int:
             exit_code = EXIT_BOUND
         print(f"{report} eta_tilde={fit.eta_tilde!r}")
     if ns.config:
-        write_manifest(
-            out_dir,
-            written,
-            doc,
-            generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        )
+        _write_manifest(out_dir, written, doc)
     return exit_code
 
 
@@ -200,27 +203,19 @@ def _cmd_moments(ns) -> int:
     section = cfg.moments
     arithmetic = section.get("arithmetic", "exact")
     values = section["values"]
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "moments_report.json"
+    entries = [Fraction(v) if arithmetic == "exact" else float(v) for v in values]
+    report_path = _out_dir(ns) / "moments_report.json"
     if section["direction"] == "to_lanczos":
-        entries = [Fraction(v) for v in values] if arithmetic == "exact" else [float(v) for v in values]
         mseq = MomentSequence.from_values(entries)
         count = section.get("count", len(values) - 1)
-        precision = {"exact": "auto", "float": "auto", "double": "double"}[arithmetic]
+        precision = "double" if arithmetic == "double" else "auto"
         try:
             conv = moments_to_lanczos(mseq, count, precision=precision)
-        except InvalidMomentSequenceError as exc:
-            report = {"error": str(exc), "failing_order": exc.order}
-            report_path.write_text(
-                json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-            )
-            print(str(exc), file=sys.stderr)
-            return EXIT_MOMENTS
+        except (InvalidMomentSequenceError, PrecisionExhaustedError) as exc:
+            write_json(report_path, {"error": str(exc), "failing_order": exc.order})
+            raise
         back = lanczos_to_moments(b_squared=conv.b_squared, count=count)
-        residual = max(
-            abs(float(a) - float(b)) for a, b in zip(back.entries, mseq.entries)
-        )
+        residual = max(abs(float(a) - float(b)) for a, b in zip(back.entries, mseq.entries))
         report = {
             "direction": "to_lanczos",
             "arithmetic": conv.mode,
@@ -231,18 +226,14 @@ def _cmd_moments(ns) -> int:
             "round_trip_residual": residual,
         }
     else:
-        count = section.get("count", len(values))
-        entries = [Fraction(v) for v in values] if arithmetic == "exact" else [float(v) for v in values]
-        mseq = lanczos_to_moments(b=entries, count=count)
+        mseq = lanczos_to_moments(b=entries, count=section.get("count", len(values)))
         report = {
             "direction": "to_moments",
             "arithmetic": "exact" if mseq.exact else "float",
             "moments": [float(v) for v in mseq.entries],
             "round_trip_residual": 0.0,
         }
-    report_path.write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(report_path, report)
     print(report_path)
     return EXIT_OK
 
@@ -251,23 +242,9 @@ def _cmd_wnumber(ns) -> int:
     doc, cfg = _load_config(ns.config)
     if cfg.family is None:
         raise SchemaError("/family", "required for wnumber")
-    seq = build_sequence(cfg.family)
-    cls = w_number(
-        seq,
-        depth=cfg.wnumber.get("depth", 20000),
-        tol=cfg.wnumber.get("tol", 1e-7),
-    )
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = {
-        "verdict": cls.verdict,
-        "value": cls.value,
-        "reason": cls.reason,
-        "partial_products": list(cls.partial_products),
-        "cf_trace": [[z, v] for z, v in cls.cf_trace],
-    }
-    path = out_dir / "wnumber_report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    cls = w_number(build_sequence(cfg.family), **cfg.wnumber)
+    path = _out_dir(ns) / "wnumber_report.json"
+    write_json(path, asdict(cls))
     print(path)
     return EXIT_OK
 
@@ -277,17 +254,8 @@ def _cmd_modes(ns) -> int:
     if cfg.family is None or cfg.family.get("kind") != "explicit":
         raise SchemaError("/family/kind", "modes needs an explicit family")
     md = finite_chain_modes(cfg.family["coefficients"])
-    spectrum = spectral_density_finite(md)
-    out_dir = Path(ns.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = {
-        "zero_mode_weight": md.zero_mode_weight,
-        "modes": [[w, a] for w, a in md.modes],
-        "impulses": [[w, a] for w, a in spectrum.impulses],
-        "provenance": md.provenance,
-    }
-    path = out_dir / "modes_report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path = _out_dir(ns) / "modes_report.json"
+    write_json(path, {**asdict(md), "impulses": spectral_density_finite(md).impulses})
     print(path)
     return EXIT_OK
 
@@ -331,22 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         return ns.fn(ns)
-    except SchemaError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except WindowError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidMomentSequenceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_MOMENTS
-    except ResourceLimitError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RESOURCE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -231,6 +231,19 @@ def _check_sections(doc: Dict[str, Any], heads):
             build_evolve_config(doc[head])
         else:
             _check_section(doc[head], _SECTION_KEYS[head], f"/{head}")
+            if head == "moments" and doc[head]["direction"] == "to_lanczos":
+                _check_moments(doc[head])
+
+
+def _check_moments(section: Dict[str, Any]):
+    """Moments to convert: mu_0 = 1, and one coefficient at most per moment past mu_0."""
+    values = section["values"]
+    if values[0] != 1:
+        raise SchemaError("/moments/values", f"mu_0 must be 1, got {values[0]!r}")
+    if section.get("count", 0) > len(values) - 1:
+        raise SchemaError(
+            "/moments/count", f"at most {len(values) - 1} coefficients from {len(values)} moments"
+        )
 
 
 def _check_sweep_points(cfg: RunConfig):

@@ -140,6 +140,13 @@ class WindowError(KrylovChainError):
     """Fit window selects too few samples or none at all."""
 
 
+class ArtifactError(KrylovChainError, ValueError):
+    """A series artifact is missing or malformed; the message names the file."""
+
+    def __init__(self, path, detail):
+        super().__init__(f"series artifact {path}: {detail}")
+
+
 class OrderingError(KrylovChainError):
     """Trajectory samples are not time ordered."""
 

@@ -18,7 +18,7 @@ terminate exactly at their support and need no seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -53,9 +53,9 @@ class ObservableSeries:
 
     def __post_init__(self):
         n = len(self.times)
-        for name in ("c_k", "s_k", "phi0", "norm_error", "active_size"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match times")
+        for f in fields(self)[1:]:
+            if len(getattr(self, f.name)) != n:
+                raise ValueError(f"{f.name} length does not match times")
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
             raise OrderingError("sample times must be strictly increasing")
 
@@ -88,26 +88,11 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
 
 def series_from_trajectory(states: Iterable[WaveState]) -> ObservableSeries:
     """Reduce a (possibly streaming) trajectory to its observable series."""
-    times, cks, sks, phi0s, nerrs, sizes = [], [], [], [], [], []
-    last_t = None
-    for st in states:
-        if last_t is not None and st.t <= last_t:
-            raise OrderingError(f"samples out of order at t={st.t}")
-        last_t = st.t
-        times.append(st.t)
-        cks.append(complexity(st))
-        sks.append(entropy(st))
-        phi0s.append(float(st.amplitudes[0]))
-        nerrs.append(st.norm_error)
-        sizes.append(st.active_size)
-    return ObservableSeries(
-        times=tuple(times),
-        c_k=tuple(cks),
-        s_k=tuple(sks),
-        phi0=tuple(phi0s),
-        norm_error=tuple(nerrs),
-        active_size=tuple(sizes),
-    )
+    rows = [  # one row per state, in field order
+        (st.t, complexity(st), entropy(st), float(st.amplitudes[0]), st.norm_error, st.active_size)
+        for st in states
+    ]
+    return ObservableSeries(*(list(zip(*rows)) or [()] * len(fields(ObservableSeries))))
 
 
 def _cf_eval(b_sq: list, z: complex, depth: int) -> complex:

@@ -11,14 +11,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from .errors import ArtifactError, OrderingError
 from .fitting import FitResult
 from .observables import ObservableSeries
 
 __all__ = [
     "CSV_HEADER",
+    "write_json",
     "write_series_csv",
     "write_series_json",
     "load_series",
@@ -27,84 +30,59 @@ __all__ = [
     "write_manifest",
 ]
 
-CSV_HEADER = "t,c_k,s_k,phi0,norm_error,active_size"
+# the series columns in ObservableSeries field order, each with the type of its values
+_COLUMNS = {f.name: int if f.name == "active_size" else float for f in fields(ObservableSeries)}
+CSV_HEADER = ",".join(["t", *list(_COLUMNS)[1:]])  # the CSV names the times column t
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_series_csv(path: Path, series: ObservableSeries) -> None:
-    lines = [CSV_HEADER]
-    for i in range(len(series)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(series.times[i]),
-                    _fmt(series.c_k[i]),
-                    _fmt(series.s_k[i]),
-                    _fmt(series.phi0[i]),
-                    _fmt(series.norm_error[i]),
-                    str(series.active_size[i]),
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def _series_dict(series: ObservableSeries, meta: Optional[dict]) -> dict:
-    doc = {
-        "times": list(series.times),
-        "c_k": list(series.c_k),
-        "s_k": list(series.s_k),
-        "phi0": list(series.phi0),
-        "norm_error": list(series.norm_error),
-        "active_size": list(series.active_size),
-    }
-    if meta:
-        doc["meta"] = meta
-    return doc
-
-
-def _dump_json(path: Path, doc: dict) -> None:
+def write_json(path: Path, doc: dict) -> None:
+    """doc as JSON with sorted keys and a two-space indent."""
     path.write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
     )
 
 
+def write_series_csv(path: Path, series: ObservableSeries) -> None:
+    columns = [[repr(kind(v)) for v in getattr(series, name)] for name, kind in _COLUMNS.items()]
+    lines = [CSV_HEADER, *map(",".join, zip(*columns))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
 def write_series_json(path: Path, series: ObservableSeries, meta: Optional[dict] = None) -> None:
-    _dump_json(path, _series_dict(series, meta))
+    doc = {name: list(getattr(series, name)) for name in _COLUMNS}
+    if meta:
+        doc["meta"] = meta
+    write_json(path, doc)
 
 
 def load_series(path: Path) -> ObservableSeries:
-    """Read a series artifact back (CSV or JSON, by extension)."""
+    """Read a series artifact back (CSV or JSON, by extension).
+
+    A missing or malformed file raises ArtifactError, which names it.
+    """
     path = Path(path)
-    if path.suffix == ".json":
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        return ObservableSeries(
-            times=tuple(doc["times"]),
-            c_k=tuple(doc["c_k"]),
-            s_k=tuple(doc["s_k"]),
-            phi0=tuple(doc["phi0"]),
-            norm_error=tuple(doc["norm_error"]),
-            active_size=tuple(int(v) for v in doc["active_size"]),
-        )
-    rows = path.read_text(encoding="utf-8").strip().split("\n")
-    if rows[0] != CSV_HEADER:
-        raise ValueError(f"{path}: unexpected CSV header {rows[0]!r}")
-    cols = [[] for _ in range(6)]
-    for row in rows[1:]:
-        parts = row.split(",")
-        for c, p in zip(cols, parts):
-            c.append(p)
-    return ObservableSeries(
-        times=tuple(float(v) for v in cols[0]),
-        c_k=tuple(float(v) for v in cols[1]),
-        s_k=tuple(float(v) for v in cols[2]),
-        phi0=tuple(float(v) for v in cols[3]),
-        norm_error=tuple(float(v) for v in cols[4]),
-        active_size=tuple(int(v) for v in cols[5]),
-    )
+    try:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".json":
+            doc = json.loads(text)
+            columns = [doc[name] for name in _COLUMNS]
+        else:
+            header, *rows = text.strip().split("\n")
+            if header != CSV_HEADER:
+                raise ValueError(f"unexpected CSV header {header!r}")
+            cells = [row.split(",") for row in rows]
+            if any(len(row) != len(_COLUMNS) for row in cells):
+                raise ValueError(f"a row does not have {len(_COLUMNS)} fields")
+            columns = list(zip(*cells)) or [()] * len(_COLUMNS)
+        return ObservableSeries(*(
+            tuple(map(kind, column)) for kind, column in zip(_COLUMNS.values(), columns)
+        ))
+    except OSError as exc:
+        raise ArtifactError(path, exc.strerror) from None
+    except KeyError as exc:
+        raise ArtifactError(path, f"missing column {exc}") from None
+    except (ValueError, TypeError, OrderingError) as exc:
+        raise ArtifactError(path, str(exc)) from None
 
 
 def write_fit_report(path: Path, fit: FitResult) -> None:
@@ -121,7 +99,7 @@ def write_fit_report(path: Path, fit: FitResult) -> None:
         "rms_residual": fit.rms_residual,
         "samples": fit.sample_count,
     }
-    _dump_json(path, doc)
+    write_json(path, doc)
 
 
 def _svg_fmt(x: float) -> str:
@@ -223,5 +201,5 @@ def write_manifest(
         "generated_at": generated_at,
     }
     path = Path(out_dir) / "manifest.json"
-    _dump_json(path, doc)
+    write_json(path, doc)
     return path

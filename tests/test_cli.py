@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from krylovchain.outputs import CSV_HEADER, load_series
+from krylovchain.outputs import load_series
 
 
 def run_cli(*args):
@@ -38,7 +38,7 @@ def test_evolve_writes_series_and_manifest(tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert names == ["manifest.json", "series.csv", "series.json"]
     lines = (out / "series.csv").read_text().splitlines()
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == "t,c_k,s_k,phi0,norm_error,active_size"
     assert len(lines) == 22  # header + 21 samples
     # manifest checksums cover both artifacts
     manifest = json.loads((out / "manifest.json").read_text())
@@ -213,6 +213,13 @@ def test_moments_roundtrip_and_invalid_exit_4(tmp_path):
     r = run_cli("moments", "--config", cfg, "--out", str(tmp_path / "m"))
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "m" / "moments_report.json").read_text())
+    assert set(report) == {
+        "direction",
+        "arithmetic",
+        "coefficients",
+        "b_squared",
+        "round_trip_residual",
+    }
     assert report["coefficients"] == [1.0, 1.0, 1.0, 1.0]
     assert report["round_trip_residual"] == 0.0
     assert report["arithmetic"] == "exact"
@@ -224,6 +231,8 @@ def test_moments_roundtrip_and_invalid_exit_4(tmp_path):
     r = run_cli("moments", "--config", bad, "--out", str(tmp_path / "bad"))
     assert r.returncode == 4
     assert "order 2" in r.stderr
+    report = json.loads((tmp_path / "bad" / "moments_report.json").read_text())
+    assert report == {"error": r.stderr.strip(), "failing_order": 2}
 
 
 def test_moments_to_moments_direction(tmp_path):
@@ -234,6 +243,7 @@ def test_moments_to_moments_direction(tmp_path):
     r = run_cli("moments", "--config", cfg, "--out", str(tmp_path / "m"))
     assert r.returncode == 0
     report = json.loads((tmp_path / "m" / "moments_report.json").read_text())
+    assert set(report) == {"direction", "arithmetic", "moments", "round_trip_residual"}
     assert report["moments"] == [1.0, 1.0, 1.0]
 
 
@@ -245,6 +255,7 @@ def test_wnumber_command(tmp_path):
     r = run_cli("wnumber", "--config", cfg, "--out", str(tmp_path / "w"))
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "w" / "wnumber_report.json").read_text())
+    assert set(report) == {"verdict", "value", "reason", "partial_products", "cf_trace"}
     assert report["verdict"] == "finite"
     assert report["value"] == pytest.approx(math.pi / 2, abs=1e-6)
 
@@ -256,6 +267,7 @@ def test_modes_command(tmp_path):
     r = run_cli("modes", "--config", cfg, "--out", str(tmp_path / "mod"))
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "mod" / "modes_report.json").read_text())
+    assert set(report) == {"zero_mode_weight", "modes", "impulses", "provenance"}
     assert report["zero_mode_weight"] == pytest.approx(0.5, abs=1e-12)
     assert report["modes"][0][0] == pytest.approx(math.sqrt(2), rel=1e-12)
     assert len(report["impulses"]) == 3
@@ -281,10 +293,66 @@ def test_csv_float_format_round_trips(tmp_path):
     run_cli("evolve", "--config", cfg, "--out", str(out))
     csv_series = load_series(out / "series.csv")
     json_series = load_series(out / "series.json")
-    assert csv_series.c_k == json_series.c_k  # repr round trip is lossless
-    assert csv_series.phi0 == json_series.phi0
+    assert csv_series == json_series  # all six columns: the repr round trip is lossless
 
 
-def test_missing_series_artifact_exit_2(tmp_path):
-    r = run_cli("fit", str(tmp_path / "nope.json"), "--out", str(tmp_path / "f"))
+SERIES = {
+    "times": [0.0, 1.0],
+    "c_k": [0.0, 1.0],
+    "s_k": [0.0, 0.5],
+    "phi0": [1.0, 0.5],
+    "norm_error": [0.0, 0.0],
+    "active_size": [16, 16],
+}
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("nope.json", None),
+        ("bad.json", "{not json"),
+        ("bad.json", json.dumps({k: v for k, v in SERIES.items() if k != "c_k"})),
+        ("bad.json", json.dumps({**SERIES, "s_k": [0.0]})),
+        ("bad.csv", "time,c_k,s_k,phi0,norm_error,active_size\n0.0,0.0,0.0,1.0,0.0,16\n"),
+        ("bad.json", json.dumps({**SERIES, "times": [1.0, 0.5]})),
+    ],
+    ids=[
+        "missing_file",
+        "invalid_json",
+        "missing_column",
+        "unequal_columns",
+        "wrong_csv_header",
+        "times_not_increasing",
+    ],
+)
+def test_missing_series_artifact_exit_2(tmp_path, name, text):
+    if text is not None:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    r = run_cli("fit", str(tmp_path / name), "--out", str(tmp_path / "f"))
     assert r.returncode == 2
+    assert name in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "moments,code,fragment",
+    [
+        ({"direction": "to_lanczos", "values": [1, 1, 2], "count": 3}, 2, "/moments/count"),
+        ({"direction": "to_lanczos", "values": [2, 1, 2]}, 2, "/moments/values"),
+        (
+            {"direction": "to_lanczos", "values": [1, 1e308, 1e308], "arithmetic": "double"},
+            4,
+            "order 2",
+        ),
+    ],
+    ids=["count_past_values", "mu0_not_one", "double_precision_exhausted"],
+)
+def test_moments_config_exit_codes(tmp_path, moments, code, fragment):
+    cfg = write_config(tmp_path / "m.json", {"moments": moments})
+    r = run_cli("moments", "--config", cfg, "--out", str(tmp_path / "m"))
+    assert r.returncode == code
+    assert fragment in r.stderr
+    assert "Traceback" not in r.stderr
+    if code == 4:  # the same report an invalid sequence gets
+        report = json.loads((tmp_path / "m" / "moments_report.json").read_text())
+        assert set(report) == {"error", "failing_order"}
