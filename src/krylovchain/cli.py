@@ -10,7 +10,9 @@ Subcommands:
   modes    mode decomposition of an explicit finite chain
 
 Exit codes: 0 success, 2 usage/window/schema/series-artifact error,
-3 bound violation, 4 invalid moments or exhausted precision, 5 resource limit.
+3 bound violation, 4 invalid moments, or precision exhausted (a double
+to_lanczos conversion, or a to_moments moment past the float64 range),
+5 resource limit.
 """
 
 from __future__ import annotations
@@ -171,9 +173,9 @@ def _cmd_evolve(ns) -> int:
 def _cmd_fit(ns) -> int:
     doc, cfg = _load_config(ns.config) if ns.config else ({}, None)
     fit_cfg = cfg.fit if cfg is not None else {}
-    out_dir = _out_dir(ns)
-    exit_code = EXIT_OK
-    written = []
+    # every series is loaded and fitted before any report is written, so a
+    # bad argument leaves no partial artifacts behind
+    fits = []
     for series_path in ns.series:
         p = Path(series_path)
         series = load_series(p)
@@ -182,6 +184,11 @@ def _cmd_fit(ns) -> int:
             fit = fit_log_relation(series, window, **_keywords(fit_log_relation, fit_cfg))
         except WindowError as exc:
             raise WindowError(f"{p.name}: {exc}") from None
+        fits.append((p, series, fit))
+    out_dir = _out_dir(ns)
+    exit_code = EXIT_OK
+    written = []
+    for p, series, fit in fits:
         report = out_dir / f"{p.stem}_fit.json"
         plot = out_dir / f"{p.stem}_fit.svg"
         write_fit_report(report, fit)
@@ -196,27 +203,16 @@ def _cmd_fit(ns) -> int:
     return exit_code
 
 
-def _cmd_moments(ns) -> int:
-    doc, cfg = _load_config(ns.config)
-    if cfg.moments is None:
-        raise SchemaError("/moments", "required for the moments command")
-    section = cfg.moments
-    arithmetic = section.get("arithmetic", "exact")
-    values = section["values"]
-    entries = [Fraction(v) if arithmetic == "exact" else float(v) for v in values]
-    report_path = _out_dir(ns) / "moments_report.json"
+def _moments_report(section: dict, entries: list) -> dict:
+    """The report of one moments conversion; entries are the parsed values."""
     if section["direction"] == "to_lanczos":
         mseq = MomentSequence.from_values(entries)
-        count = section.get("count", len(values) - 1)
-        precision = "double" if arithmetic == "double" else "auto"
-        try:
-            conv = moments_to_lanczos(mseq, count, precision=precision)
-        except (InvalidMomentSequenceError, PrecisionExhaustedError) as exc:
-            write_json(report_path, {"error": str(exc), "failing_order": exc.order})
-            raise
+        count = section.get("count", len(entries) - 1)
+        precision = "double" if section.get("arithmetic") == "double" else "auto"
+        conv = moments_to_lanczos(mseq, count, precision=precision)
         back = lanczos_to_moments(b_squared=conv.b_squared, count=count)
         residual = max(abs(float(a) - float(b)) for a, b in zip(back.entries, mseq.entries))
-        report = {
+        return {
             "direction": "to_lanczos",
             "arithmetic": conv.mode,
             "coefficients": list(conv.coefficients),
@@ -225,14 +221,33 @@ def _cmd_moments(ns) -> int:
             ],
             "round_trip_residual": residual,
         }
-    else:
-        mseq = lanczos_to_moments(b=entries, count=section.get("count", len(values)))
-        report = {
-            "direction": "to_moments",
-            "arithmetic": "exact" if mseq.exact else "float",
-            "moments": [float(v) for v in mseq.entries],
-            "round_trip_residual": 0.0,
-        }
+    mseq = lanczos_to_moments(b=entries, count=section.get("count", len(entries)))
+    moments = []
+    for order, v in enumerate(mseq.entries):  # exact rationals, possibly past float64
+        try:
+            moments.append(float(v))
+        except OverflowError:
+            raise PrecisionExhaustedError(order, "moment exceeds the float64 range") from None
+    return {
+        "direction": "to_moments",
+        "arithmetic": "exact" if mseq.exact else "float",
+        "moments": moments,
+        "round_trip_residual": 0.0,
+    }
+
+
+def _cmd_moments(ns) -> int:
+    doc, cfg = _load_config(ns.config)
+    if cfg.moments is None:
+        raise SchemaError("/moments", "required for the moments command")
+    exact = cfg.moments.get("arithmetic", "exact") == "exact"
+    entries = [Fraction(v) if exact else float(v) for v in cfg.moments["values"]]
+    report_path = _out_dir(ns) / "moments_report.json"
+    try:
+        report = _moments_report(cfg.moments, entries)
+    except (InvalidMomentSequenceError, PrecisionExhaustedError) as exc:
+        write_json(report_path, {"error": str(exc), "failing_order": exc.order})
+        raise
     write_json(report_path, report)
     print(report_path)
     return EXIT_OK

@@ -28,10 +28,11 @@ Two stepper families are provided (METHODS names them):
   not limited by the largest hopping in the window (the fast frontier
   modes are unpopulated).  The step size follows the solution's measured
   timescale (see _CayleyStepper).
-* "rk45": explicit Dormand-Prince 5(4) with the embedded error estimate,
-  step bounded by dt <= 0.5/b_max for stability.  Kept as the
-  cross-check route; on rapidly growing windows it costs O(b_max) steps
-  per unit time and is orders of magnitude slower than the Cayley form.
+* "rk45": explicit Dormand-Prince 5(4), run by scipy.integrate.RK45 with
+  its per-component error test and the step bounded by dt <= 0.5/b_max
+  for stability.  Kept as the cross-check route; on rapidly growing
+  windows it costs O(b_max) steps per unit time and is orders of
+  magnitude slower than the Cayley form.
 
 `evolve` is a generator: states stream out at sample times and large
 windows are never accumulated.
@@ -453,87 +454,47 @@ class _TrapezoidalStepper(_CayleyStepper):
         super().__init__(window, replace(cfg, method="trapezoidal"))
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
-
-
 class _RK45Stepper:
-    """Explicit Dormand-Prince with embedded error control.
+    """Explicit Dormand-Prince 5(4) by scipy.integrate.RK45 over the active window.
 
-    The step obeys both the error controller and the stability bound
-    dt <= 0.5 / b_max over the active window.
+    The error test is scipy's per component, with scale
+    abs_tol + rel_tol |phi_i|, and max_step = 0.5 / b_max over the window
+    keeps the explicit step stable.  Every step still goes through
+    _Window.accept; when the window grows, before a step or after a
+    refused one, the solver is rebuilt from the window's state.  The step
+    size carries over to the next sample interval as first_step.
     """
 
     def __init__(self, window: _Window, cfg: EvolveConfig):
         self.w = window
         self.cfg = cfg
-        # step estimate, carried from one sample interval to the next
-        b1 = window.b[0] if len(window.b) else 1.0
-        t_last = cfg.resolve_sample_times()[-1] or cfg.t_max
-        self.dt = min(0.1 / max(b1, 1e-12), t_last / cfg.samples, 0.05)
-
-    def _deriv(self, y: np.ndarray) -> np.ndarray:
-        return _hop(self.w.b[: self.w.n - 1], y)
+        self.h = None  # scipy's step size, carried from one sample interval to the next
 
     def advance(self, t: float, t_target: float) -> float:
         """Advance to t_target; returns the time reached."""
-        cfg = self.cfg
-        dt = self.dt
-        while t < t_target - 1e-14 * max(1.0, t_target):
-            self.w.ensure_headroom()
-            b_max = float(self.w.b.max()) if len(self.w.b) else 1.0
-            dt_stab = 0.5 / max(b_max, 1e-300)
-            h = min(dt, dt_stab, t_target - t)
-            y0 = self.w.y
-            while True:
-                k = [self._deriv(y0)]
-                for row in _DP_A[1:]:
-                    yi = y0.copy()
-                    for a, ki in zip(row, k):
-                        if a:
-                            yi += (h * a) * ki
-                    k.append(self._deriv(yi))
-                y5 = y0.copy()
-                for bcoef, ki in zip(_DP_B5, k):
-                    if bcoef:
-                        y5 += (h * bcoef) * ki
-                y4 = y0.copy()
-                for bcoef, ki in zip(_DP_B4, k):
-                    if bcoef:
-                        y4 += (h * bcoef) * ki
-                scale = cfg.abs_tol + cfg.rel_tol * float(np.max(np.abs(y0)))
-                err = float(np.sqrt(np.mean((y5 - y4) ** 2))) / scale
-                if err <= 1.0:
-                    break
-                h *= max(0.2, 0.9 * err ** -0.2)
-                if h < 1e-13 * max(1.0, abs(t)):
-                    raise StiffnessError(t, h, "rk45 step rejected to underflow")
-            if not self.w.accept(y5, y0, t):
-                continue
-            t += h
-            if err > 0.0:
-                dt = h * min(5.0, max(0.2, 0.9 * err ** -0.2))
+        from scipy.integrate import RK45  # lazy: at module level it slows `import krylovchain`
+
+        w, solver = self.w, None
+        while t < t_target:
+            n = w.n
+            w.ensure_headroom()
+            if solver is None or w.n != n:
+                first = None if self.h is None else min(self.h, t_target - t)
+                solver = RK45(
+                    lambda _t, y, off=w.b[: w.n - 1]: _hop(off, y),
+                    t, w.y, t_target, first_step=first,
+                    max_step=0.5 / max(np.max(w.b, initial=0.0), 1e-300),
+                    rtol=self.cfg.rel_tol, atol=self.cfg.abs_tol,
+                )
+            y0 = w.y
+            message = solver.step()
+            if solver.status == "failed":
+                raise StiffnessError(t, solver.h_abs, f"rk45: {message}")
+            self.h = solver.h_abs
+            if w.accept(solver.y, y0, t):
+                t = solver.t
             else:
-                dt = h * 5.0
-        self.dt = dt
+                solver = None
         return t
 
 

@@ -334,6 +334,31 @@ def test_missing_series_artifact_exit_2(tmp_path, name, text):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("later", ["nope.json", "small.json"], ids=["missing_file", "window_error"])
+def test_fit_failure_leaves_no_partial_artifacts(tmp_path, later):
+    # a bad later argument fails the command before the earlier one's report is written
+    n = 40
+    c = np.geomspace(2.0, 1e4, n)
+    good = {
+        "times": list(np.linspace(1.0, 4.0, n)),
+        "c_k": list(c),
+        "s_k": list(np.log(c)),
+        "phi0": [0.0] * n,
+        "norm_error": [0.0] * n,
+        "active_size": [100] * n,
+    }
+    (tmp_path / "good.json").write_text(json.dumps(good), encoding="utf-8")
+    (tmp_path / "small.json").write_text(json.dumps(SERIES), encoding="utf-8")  # C_K < c_min
+    cfg = write_config(tmp_path / "f.json", {"fit": {"c_min": 2.0}})
+    out = tmp_path / "fits"
+    series = [str(tmp_path / "good.json"), str(tmp_path / later)]
+    r = run_cli("fit", *series, "--config", cfg, "--out", str(out))
+    assert r.returncode == 2
+    assert later in r.stderr
+    assert "Traceback" not in r.stderr
+    assert list(out.glob("*_fit.*")) == [] and not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "moments,code,fragment",
     [
@@ -344,8 +369,18 @@ def test_missing_series_artifact_exit_2(tmp_path, name, text):
             4,
             "order 2",
         ),
+        (
+            {"direction": "to_moments", "values": [1e200], "count": 3, "arithmetic": "float"},
+            4,
+            "order 1",
+        ),
     ],
-    ids=["count_past_values", "mu0_not_one", "double_precision_exhausted"],
+    ids=[
+        "count_past_values",
+        "mu0_not_one",
+        "double_precision_exhausted",
+        "to_moments_overflow",
+    ],
 )
 def test_moments_config_exit_codes(tmp_path, moments, code, fragment):
     cfg = write_config(tmp_path / "m.json", {"moments": moments})

@@ -2,10 +2,15 @@
 
 import importlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import krylovchain
 from krylovchain import (
     Constant,
     ConstantWithFirst,
@@ -122,10 +127,19 @@ CLOSED_FORMS = [
 ]
 
 
-@pytest.mark.parametrize("name,seq,exact", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
-def test_oracle_agreement_small_horizon(name, seq, exact):
+# every closed form under the default method, and all but SYK (minutes per
+# run on its exponentially growing window) under rk45
+ORACLE_RUNS = [pytest.param(*c, "cayley4", id=c[0]) for c in CLOSED_FORMS] + [
+    pytest.param(*c, "rk45", id=f"{c[0]}-rk45")
+    for c in CLOSED_FORMS
+    if not c[0].startswith("syk")
+]
+
+
+@pytest.mark.parametrize("name,seq,exact,method", ORACLE_RUNS)
+def test_oracle_agreement_small_horizon(name, seq, exact, method):
     # |phi_n(numeric) - phi_n(closed form)| <= 1e-6 for t <= 5, n <= 50
-    cfg = EvolveConfig(t_max=5.0, samples=10)
+    cfg = EvolveConfig(t_max=5.0, samples=10, method=method)
     worst = 0.0
     for st in evolve(seq, cfg):
         hi = min(50, st.active_size)
@@ -157,6 +171,18 @@ def test_rk45_cross_check():
     for st_t, st_r in zip(evolve(SykLike(1.0, 1.0), cfg_t), evolve(SykLike(1.0, 1.0), cfg_r)):
         hi = min(st_t.active_size, st_r.active_size)
         assert np.max(np.abs(st_t.amplitudes[:hi] - st_r.amplitudes[:hi])) < 1e-6
+
+
+def test_import_leaves_scipy_integrate_and_special_unloaded():
+    # both load on first use (rk45, closed forms); importing them eagerly
+    # would slow every `import krylovchain`
+    lazy = "{'scipy.integrate', 'scipy.special'}"
+    code = f"import sys, krylovchain; print(sorted({lazy} & set(sys.modules)))"
+    path = (str(Path(krylovchain.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 def test_time_reversal():
