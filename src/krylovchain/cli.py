@@ -9,10 +9,10 @@ Subcommands:
   wnumber  classify the ergodicity indicator W for a family
   modes    mode decomposition of an explicit finite chain
 
-Exit codes: 0 success, 2 usage/window/schema/series-artifact error,
-3 bound violation, 4 invalid moments, or precision exhausted (a double
-to_lanczos conversion, or a to_moments moment past the float64 range),
-5 resource limit.
+Exit codes: 0 success, 2 usage/window/schema/series-artifact error or
+colliding fit stems, 3 bound violation, 4 invalid moments, or precision
+exhausted (a double to_lanczos conversion, or a to_moments moment past
+the float64 range), 5 resource limit.
 """
 
 from __future__ import annotations
@@ -175,9 +175,12 @@ def _cmd_fit(ns) -> int:
     fit_cfg = cfg.fit if cfg is not None else {}
     # every series is loaded and fitted before any report is written, so a
     # bad argument leaves no partial artifacts behind
-    fits = []
+    fits, stems = [], {}
     for series_path in ns.series:
         p = Path(series_path)
+        if p.stem in stems:  # both would write <stem>_fit.json and .svg
+            raise ArtifactError(p, f"its report would overwrite that of {stems[p.stem]}")
+        stems[p.stem] = p
         series = load_series(p)
         try:
             window = select_window(series, **{"c_min": 50.0, **_keywords(select_window, fit_cfg)})

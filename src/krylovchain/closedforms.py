@@ -7,9 +7,9 @@ space (scipy.special.gammaln), so large site indices stay finite, and the
 Bessel chains use scipy.special.jv.  scipy.special is imported inside the
 functions, which keeps it out of the package import.  The finite-chain
 mode decomposition diagonalizes the (K+1) x (K+1) tridiagonal operator
-and folds the +/- frequency pairs into cosine weights; the model
-spectral density family carries closed-form moments, autocorrelation and
-density.
+(scipy.linalg.eigh_tridiagonal) and folds the +/- frequency pairs into
+cosine weights; the model spectral density family carries closed-form
+moments, autocorrelation and density.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     NON_NEGATIVE,
@@ -213,25 +214,20 @@ class ModeDecomposition:
         return out
 
 
-def finite_chain_modes(b: Sequence[float], K: int = None) -> ModeDecomposition:
+def finite_chain_modes(b: Sequence[float]) -> ModeDecomposition:
     """Eigen-decomposition of the finite chain with coefficients b_1..b_K.
 
-    Diagonalizes the (K+1) x (K+1) tridiagonal operator; each +/- pair of
-    eigenvalues is folded into one cosine mode with weight
+    The (K+1) x (K+1) operator is tridiagonal with zero diagonal and
+    off-diagonal b; scipy.linalg.eigh_tridiagonal diagonalizes it.  Each
+    +/- pair of eigenvalues is folded into one cosine mode with weight
     a_l = 2 |v_l(0)|^2, and a zero eigenvalue contributes a_0 = |v_0(0)|^2.
     """
     b = np.asarray([float(x) for x in b], dtype=float)
-    if K is None:
-        K = len(b)
-    if K != len(b) or K < 1:
-        raise ValueError("K must equal the number of coefficients, >= 1")
+    if len(b) < 1:
+        raise ValueError("a finite chain needs at least one coefficient")
     if np.any(b <= 0):
         raise ValueError("coefficients must be positive")
-    mat = np.zeros((K + 1, K + 1))
-    idx = np.arange(K)
-    mat[idx, idx + 1] = b
-    mat[idx + 1, idx] = b
-    evals, evecs = np.linalg.eigh(mat)
+    evals, evecs = eigh_tridiagonal(np.zeros(len(b) + 1), b)
     scale = float(np.max(np.abs(evals))) or 1.0
     zero_tol = 1e-9 * scale
     a0 = 0.0
@@ -247,7 +243,7 @@ def finite_chain_modes(b: Sequence[float], K: int = None) -> ModeDecomposition:
         zero_mode_weight=a0,
         modes=tuple(pos),
         provenance={
-            "dimension": float(K + 1),
+            "dimension": float(len(b) + 1),
             "weight_residual": abs(recon - 1.0),
             "zero_tolerance": zero_tol,
         },

@@ -51,6 +51,7 @@ from .errors import (
     NON_NEGATIVE,
     POSITIVE,
     UNIT,
+    ParameterError,
     ResourceLimitError,
     Rule,
     StiffnessError,
@@ -90,8 +91,8 @@ class WaveState:
     """Snapshot of the wave function at one time.
 
     amplitudes is read only; norm_error = |sum phi^2 - 1|; tail_mass is
-    the squared mass in the trailing guard band (0 for exactly finite
-    chains, where nothing is truncated).
+    the squared mass in the trailing guard band (0 when no coupling leaves
+    the window, as at the end of a finite chain: nothing is truncated).
     """
 
     t: float
@@ -127,6 +128,8 @@ class EvolveConfig:
         check_fields(self)
         if self.sample_times is not None:
             object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
+        elif self.grid == "log" and self.samples < 2:  # geomspace(lo, t_max, 1) is [lo]
+            raise ParameterError("samples", "the log grid needs samples >= 2")
 
     def resolve_sample_times(self) -> Tuple[float, ...]:
         if self.sample_times is not None:
@@ -161,11 +164,12 @@ def _odd_from_even(cp: np.ndarray, cq: np.ndarray, e: np.ndarray, o: np.ndarray)
     return out
 
 
-def _even_from_odd(cp: np.ndarray, cq: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """c A_eo o = -c A_oe^T o on the even sites: cq_{j-1} o_{j-1} - cp_j o_j."""
-    out = np.empty(len(cq) + 1)
+def _even_from_odd(cp: np.ndarray, cq: np.ndarray, o: np.ndarray, size: int) -> np.ndarray:
+    """c A_eo o = -c A_oe^T o on the even sites, cq_{j-1} o_{j-1} - cp_j o_j; zero up to `size`."""
+    out = np.empty(size)
     out[0] = 0.0
-    np.multiply(cq, o[: len(cq)], out=out[1:])
+    np.multiply(cq, o[: len(cq)], out=out[1 : len(cq) + 1])
+    out[len(cq) + 1 :] = 0.0
     out[: len(cp)] -= cp * o
     return out
 
@@ -189,7 +193,6 @@ class _Window:
         self.cfg = cfg
         sup = seq.support
         self.cap = cfg.max_active_size if sup is None else min(sup + 1, cfg.max_active_size)
-        self.finite = sup is not None and sup + 1 <= cfg.max_active_size
         if initial is None:
             n0 = min(max(2 * cfg.guard_band, 16), self.cap)
             self.y = np.zeros(n0)
@@ -205,8 +208,8 @@ class _Window:
         return len(self.y)
 
     def tail_mass(self) -> float:
-        if self.finite and self.n == self.cap:
-            return 0.0  # nothing truncated: the chain ends here exactly
+        if self.b[-1] == 0.0:
+            return 0.0  # no coupling leaves the window: nothing is truncated
         g = min(self.cfg.guard_band, self.n)
         return float(np.sum(self.y[-g:] ** 2))
 
@@ -279,7 +282,9 @@ class _CayleyStepper:
     1 + (cp)^2 + (cq)^2 is summed in long double and rounded once:
     rounding each square in double made the norm drift by ~2e-15 a step
     on windows where c b reaches ~1e3.  phi is split once per step and
-    interleaved once at its end.
+    interleaved once at its end.  Windows of at most 4 sites take the same
+    path: S, short of the 3 rows LAPACK's gttrf wrapper needs, is padded
+    with identity rows and the right-hand side with zeros.
 
     The stages share A, so the update of order p equals exp(hA) up to
     h^(p+1) A^(p+1) C with C = |sum w^(p+1)| / ((p+1) 2^p), from
@@ -323,11 +328,11 @@ class _CayleyStepper:
     def _factor(self, weight: float, c: float):
         """(c', bands) for the even-site system S = I + c'^2 A_oe^T A_oe.
 
-        bands = (dl, d, du, du2, ipiv, cp, cq): the LU bands of S / 2 and
-        the couplings cp_j = c' b_{2j+1}, cq_j = c' b_{2j+2} that S and the
-        stage's products share.  Halving S is exact and folds the stage's
-        factor 2 into the solve.  c' is the cached c when it matches c to
-        rounding.
+        bands = (dl, d, du, du2, ipiv, cp, cq): the LU bands of S / 2 (with
+        identity rows up to 3 rows) and the couplings cp_j = c' b_{2j+1},
+        cq_j = c' b_{2j+2} that S and the stage's products share.  Halving S
+        is exact and folds the stage's factor 2 into the solve.  c' is the
+        cached c when it matches c to rounding.
         """
         n = self.w.n
         if n != self._factors_n:
@@ -338,20 +343,16 @@ class _CayleyStepper:
             return hit
         off = self.w.b[: n - 1]
         cp, cq = c * off[0::2], c * off[1::2]
-        d = np.ones((n + 1) // 2, dtype=np.longdouble)
+        d = np.ones(max((n + 1) // 2, 3), dtype=np.longdouble)
         d[: len(cp)] += np.square(cp, dtype=np.longdouble)
-        d[1:] += np.square(cq, dtype=np.longdouble)
+        d[1 : len(cq) + 1] += np.square(cq, dtype=np.longdouble)
         d = 0.5 * d.astype(float)
-        s = -0.5 * cp[: len(cq)] * cq
-        if len(d) < 3:
-            # LAPACK's gttrf wrapper needs n >= 3: the 2x2 S is solved directly
-            bands = (s, d, s, None, None)
-        else:
-            dl, d, du, du2, ipiv, info = lapack.dgttrf(s, d, s)
-            if info != 0:
-                raise RuntimeError(f"dgttrf failed with info={info}")
-            bands = (dl, d, du, du2, ipiv)
-        hit = self._factors[weight] = (c, bands + (cp, cq))
+        s = np.zeros(len(d) - 1)
+        np.multiply(-0.5 * cp[: len(cq)], cq, out=s[: len(cq)])
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(s, d, s)
+        if info != 0:
+            raise RuntimeError(f"dgttrf failed with info={info}")
+        hit = self._factors[weight] = (c, (dl, d, du, du2, ipiv, cp, cq))
         return hit
 
     def _apply(self, h: float, y: np.ndarray, dy: Optional[np.ndarray] = None) -> np.ndarray:
@@ -359,17 +360,6 @@ class _CayleyStepper:
 
         Returns a new array and leaves y untouched.
         """
-        n = self.w.n
-        if n < 3:
-            # a single site does not move; a two-site stage is the rotation
-            # by 2 atan(c b_1)
-            y = y.copy()
-            if n == 2:
-                for weight in self.weights:
-                    theta = 2.0 * math.atan(0.5 * weight * h * self.w.b[0])
-                    cos, sin = math.cos(theta), math.sin(theta)
-                    y = np.array([cos * y[0] - sin * y[1], sin * y[0] + cos * y[1]])
-            return y
         e, o = y[0::2], y[1::2]
         for weight in self.weights:
             c, (dl, d, du, du2, ipiv, cp, cq) = self._factor(weight, 0.5 * weight * h)
@@ -381,18 +371,14 @@ class _CayleyStepper:
                 u += o
                 dy = None
             # (S / 2) delta = c A_eo u, then e' = e + delta, o' = u + c A_oe e'
-            r = _even_from_odd(cp, cq, u)
-            if du2 is None:
-                det = d[0] * d[1] - dl[0] * du[0]
-                delta = np.array([d[1] * r[0] - du[0] * r[1], d[0] * r[1] - dl[0] * r[0]]) / det
-            else:
-                delta, info = lapack.dgttrs(dl, d, du, du2, ipiv, r)
-                if info != 0:
-                    raise RuntimeError(f"dgttrs failed with info={info}")
-            delta += e
-            e = delta
+            r = _even_from_odd(cp, cq, u, len(d))
+            delta, info = lapack.dgttrs(dl, d, du, du2, ipiv, r)
+            if info != 0:
+                raise RuntimeError(f"dgttrs failed with info={info}")
+            delta[: len(e)] += e
+            e = delta[: len(e)]
             o = _odd_from_even(cp, cq, e, u)
-        out = np.empty(n)
+        out = np.empty(len(y))
         out[0::2] = e
         out[1::2] = o
         return out

@@ -12,7 +12,7 @@ error that alternates in sign between consecutive depths, so the
 evaluation averages depths D and D+1; the tail is seeded with the
 constant-coefficient fixed point (-z + sqrt(z^2 + 4 b^2)) / (2 b^2),
 which also reproduces the 1/z asymptote at large |z|.  Finite chains
-terminate exactly at their support and need no seed.
+terminate exactly at their support, with the tail value 1/z.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ def series_from_trajectory(states: Iterable[WaveState]) -> ObservableSeries:
     return ObservableSeries(*(list(zip(*rows)) or [()] * len(fields(ObservableSeries))))
 
 
-def _cf_eval(b_sq: list, z: complex, depth: int) -> complex:
-    """Bottom-up continued fraction truncated at `depth` with fixed-point seed."""
-    b2_tail = b_sq[depth]
-    root = (z * z + 4.0 * b2_tail) ** 0.5
-    f = (-z + root) / (2.0 * b2_tail)
+def _cf_eval(b_sq: list, z: complex, depth: int, f: complex = None) -> complex:
+    """Bottom-up continued fraction truncated at `depth`; the tail f defaults to the fixed point."""
+    if f is None:
+        b2_tail = b_sq[depth]
+        f = (-z + (z * z + 4.0 * b2_tail) ** 0.5) / (2.0 * b2_tail)
     for k in range(depth, 0, -1):
         f = 1.0 / (z + b_sq[k - 1] * f)
     return f
@@ -113,10 +113,10 @@ def relaxation_phi0(
 ) -> complex:
     """Relaxation function phi_0(z) from the continued fraction.
 
-    Finite chains are evaluated exactly (the fraction terminates at the
-    support).  Semi-infinite chains use depth-averaged truncation and
-    raise ConvergenceError when halving the depth moves the value by more
-    than `tol` relatively.
+    Finite chains are evaluated exactly (the fraction ends at the support
+    with the tail 1/z).  Semi-infinite chains use depth-averaged truncation
+    and raise ConvergenceError when halving the depth moves the value by
+    more than `tol` relatively.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -125,11 +125,7 @@ def relaxation_phi0(
         raise ValueError("phi_0(z) is evaluated off z = 0; use w_number for the limit")
     sup = seq.support
     if sup is not None:
-        b_sq = (seq.b_array(sup) ** 2).tolist()
-        f = 1.0 / z
-        for k in range(sup, 0, -1):
-            f = 1.0 / (z + b_sq[k - 1] * f)
-        return _as_scalar(f)
+        return _as_scalar(_cf_eval((seq.b_array(sup) ** 2).tolist(), z, sup, 1.0 / z))
 
     b_sq = (seq.b_array(depth + 2) ** 2).tolist()
     val_hi = 0.5 * (_cf_eval(b_sq, z, depth) + _cf_eval(b_sq, z, depth + 1))

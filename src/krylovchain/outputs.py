@@ -9,6 +9,7 @@ allowed to carry a timestamp.
 from __future__ import annotations
 
 import hashlib
+import html
 import json
 import math
 from dataclasses import fields
@@ -165,7 +166,7 @@ def write_fit_plot(
     if title:
         parts.append(
             f'<text x="{_svg_fmt(w / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{html.escape(title, quote=False)}</text>'
         )
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")

@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
-from krylovchain.outputs import load_series
+from krylovchain.observables import ObservableSeries
+from krylovchain.outputs import load_series, write_series_csv, write_series_json
 
 
 def run_cli(*args):
@@ -180,6 +182,7 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
             {**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": [], "method": "rk45"}},
             "/evolve/sample_times",
         ),
+        ({**BASE_EVOLVE, "evolve": {"t_max": 5.0, "samples": 1, "grid": "log"}}, "/evolve/samples"),
     ],
     ids=[
         "swept_eta",
@@ -193,6 +196,7 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
         "power_log_bool_sign",
         "empty_sample_times_cayley4",
         "empty_sample_times_rk45",
+        "log_grid_one_sample",
     ],
 )
 def test_invalid_values_exit_2_before_running(tmp_path, doc, pointer):
@@ -334,20 +338,22 @@ def test_missing_series_artifact_exit_2(tmp_path, name, text):
     assert "Traceback" not in r.stderr
 
 
+_C = np.geomspace(2.0, 1e4, 40)
+# S_K = ln C_K over C_K in [2, 1e4]: fits with c_min = 2
+FITTABLE = {
+    "times": list(np.linspace(1.0, 4.0, len(_C))),
+    "c_k": list(_C),
+    "s_k": list(np.log(_C)),
+    "phi0": [0.0] * len(_C),
+    "norm_error": [0.0] * len(_C),
+    "active_size": [100] * len(_C),
+}
+
+
 @pytest.mark.parametrize("later", ["nope.json", "small.json"], ids=["missing_file", "window_error"])
 def test_fit_failure_leaves_no_partial_artifacts(tmp_path, later):
     # a bad later argument fails the command before the earlier one's report is written
-    n = 40
-    c = np.geomspace(2.0, 1e4, n)
-    good = {
-        "times": list(np.linspace(1.0, 4.0, n)),
-        "c_k": list(c),
-        "s_k": list(np.log(c)),
-        "phi0": [0.0] * n,
-        "norm_error": [0.0] * n,
-        "active_size": [100] * n,
-    }
-    (tmp_path / "good.json").write_text(json.dumps(good), encoding="utf-8")
+    (tmp_path / "good.json").write_text(json.dumps(FITTABLE), encoding="utf-8")
     (tmp_path / "small.json").write_text(json.dumps(SERIES), encoding="utf-8")  # C_K < c_min
     cfg = write_config(tmp_path / "f.json", {"fit": {"c_min": 2.0}})
     out = tmp_path / "fits"
@@ -357,6 +363,38 @@ def test_fit_failure_leaves_no_partial_artifacts(tmp_path, later):
     assert later in r.stderr
     assert "Traceback" not in r.stderr
     assert list(out.glob("*_fit.*")) == [] and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("r1/series.json", "r2/series.json"), ("r/series.json", "r/series.csv")],
+    ids=["two_runs", "json_and_csv"],
+)
+def test_fit_rejects_colliding_stems(tmp_path, names):
+    # both would write series_fit.json and series_fit.svg: nothing is written
+    series = ObservableSeries(*(tuple(v) for v in FITTABLE.values()))
+    for name in names:
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        (write_series_csv if path.suffix == ".csv" else write_series_json)(path, series)
+    cfg = write_config(tmp_path / "f.json", {"fit": {"c_min": 2.0}})
+    out = tmp_path / "fits"
+    r = run_cli("fit", *(str(tmp_path / n) for n in names), "--config", cfg, "--out", str(out))
+    assert r.returncode == 2
+    assert names[1] in r.stderr and "Traceback" not in r.stderr
+    assert list(out.glob("*_fit.*")) == [] and not (out / "manifest.json").exists()
+    # each alone fits
+    assert run_cli("fit", str(tmp_path / names[1]), "--config", cfg, "--out", str(out)).returncode == 0
+
+
+def test_fit_plot_title_is_escaped(tmp_path):
+    # the title is the series' stem, which may hold XML markup characters
+    (tmp_path / "a&b<c.json").write_text(json.dumps(FITTABLE), encoding="utf-8")
+    cfg = write_config(tmp_path / "f.json", {"fit": {"c_min": 2.0}})
+    r = run_cli("fit", str(tmp_path / "a&b<c.json"), "--config", cfg, "--out", str(tmp_path / "f"))
+    assert r.returncode == 0, r.stderr
+    root = ElementTree.parse(tmp_path / "f" / "a&b<c_fit.svg").getroot()
+    assert "a&b<c" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
 
 
 @pytest.mark.parametrize(

@@ -195,6 +195,18 @@ class TestModeDecomposition:
             total = md.zero_mode_weight + sum(a for _, a in md.modes)
             assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [*range(1, 13), 40])
+    def test_matches_dense_eigendecomposition(self, k):
+        b = np.random.default_rng(100 + k).uniform(0.5, 2.0, size=k)
+        md = finite_chain_modes(b)
+        evals, evecs = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+        weights = evecs[0] ** 2
+        zero = np.abs(evals) <= 1e-9 * np.max(np.abs(evals))
+        pos = (evals > 0) & ~zero
+        assert md.zero_mode_weight == pytest.approx(float(np.sum(weights[zero])), abs=1e-12)
+        assert np.allclose([w for w, _ in md.modes], evals[pos], rtol=0.0, atol=1e-12)
+        assert np.allclose([a for _, a in md.modes], 2.0 * weights[pos], rtol=0.0, atol=1e-12)
+
     def test_reconstruction_matches_evolution(self):
         rng = np.random.default_rng(29)
         for k in (2, 5, 8):

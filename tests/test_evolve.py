@@ -16,6 +16,7 @@ from krylovchain import (
     ConstantWithFirst,
     EvolveConfig,
     Explicit,
+    ParameterError,
     PowerLaw,
     ResourceLimitError,
     SqrtGrowth,
@@ -29,6 +30,7 @@ from krylovchain import (
 from krylovchain.closedforms import (
     bessel_chain_wavefunction,
     coherent_wavefunction,
+    finite_chain_modes,
     su2_wavefunction,
     syk_wavefunction,
 )
@@ -439,6 +441,47 @@ def test_finite_chain_window_never_exceeds_support():
         assert st.tail_mass == 0.0
 
 
+SHORT_CHAINS = [
+    pytest.param(Explicit((1.3,)), None, id="explicit_k1"),
+    pytest.param(Explicit((0.8, 1.7)), None, id="explicit_k2"),
+    pytest.param(Explicit((1.58, 0.95, 1.26)), None, id="explicit_k3"),
+    pytest.param(Su2(1.0, 0.5), 0.5, id="su2_j1/2"),
+    pytest.param(Su2(1.0, 1.0), 1.0, id="su2_j1"),
+    pytest.param(Su2(1.0, 1.5), 1.5, id="su2_j3/2"),
+]
+
+
+@pytest.mark.parametrize("method,gate", [("cayley4", 1e-8), ("trapezoidal", 1e-6)])
+@pytest.mark.parametrize("seq,j", SHORT_CHAINS)
+def test_short_finite_chains_match_closed_forms(seq, j, method, gate):
+    # windows of 2 to 4 sites run the padded half-size Cayley stage; phi_0
+    # against the mode decomposition, or every site against the su(2) form
+    cfg = EvolveConfig(t_max=20.0, samples=40, method=method, rel_tol=1e-11)
+    modes = finite_chain_modes(seq.b_array(seq.support))
+    worst = 0.0
+    for st in evolve(seq, cfg):
+        if j is None:
+            err = abs(st.amplitudes[0] - float(modes.phi0(st.t)))
+        else:
+            ref = [su2_wavefunction(1.0, j, n, st.t) for n in range(st.active_size)]
+            err = float(np.max(np.abs(st.amplitudes - ref)))
+        worst = max(worst, err)
+    assert worst <= gate
+
+
+def test_tail_mass_zero_where_no_coupling_leaves_the_window():
+    from krylovchain.evolve import _Window
+
+    cfg = EvolveConfig(t_max=1.0)
+    # all of the mass sits in the guard band, but b_5 = 0 holds it in
+    w = _Window(Su2(1.0, 2.0), cfg, np.full(5, 5 ** -0.5))
+    assert w.n == 5 and w.b[-1] == 0.0 and w.tail_mass() == 0.0
+    # a cap below the support truncates the chain: its window is not exact
+    seq = Explicit(tuple(1.0 + 0.1 * np.arange(20)))
+    with pytest.raises(ResourceLimitError):
+        list(evolve(seq, EvolveConfig(t_max=20.0, samples=4, max_active_size=16)))
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_resource_limit_reports_time(method):
     cfg = EvolveConfig(t_max=6.0, samples=12, max_active_size=64, method=method)
@@ -511,6 +554,17 @@ def test_config_validation():
     assert EvolveConfig(t_max=1.0).method == "cayley4"
     with pytest.raises(ValueError):
         EvolveConfig(t_max=1.0, sample_times=(0.5, 0.2)).resolve_sample_times()
+
+
+def test_log_grid_needs_two_samples():
+    # np.geomspace(lo, t_max, 1) is [lo]: one log sample would never reach t_max
+    with pytest.raises(ParameterError) as info:
+        EvolveConfig(t_max=5.0, samples=1, grid="log")
+    assert info.value.name == "samples"
+    assert EvolveConfig(t_max=5.0, samples=2, grid="log").resolve_sample_times()[-1] == 5.0
+    assert EvolveConfig(t_max=5.0, samples=1).resolve_sample_times() == (0.0, 5.0)
+    explicit = EvolveConfig(t_max=5.0, samples=1, grid="log", sample_times=(0.0, 1.0))
+    assert explicit.resolve_sample_times() == (0.0, 1.0)
 
 
 def test_states_are_read_only():
