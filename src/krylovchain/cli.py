@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import inspect
+import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -317,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # paths that are not UTF-8 print as their bytes
+        sys.stdout.reconfigure(errors="surrogateescape")
     ns = build_parser().parse_args(argv)
     try:
         return ns.fn(ns)

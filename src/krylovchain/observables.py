@@ -96,12 +96,16 @@ def series_from_trajectory(states: Iterable[WaveState]) -> ObservableSeries:
 
 
 def _cf_eval(b_sq: list, z: complex, depth: int, f: complex = None) -> complex:
-    """Bottom-up continued fraction truncated at `depth`; the tail f defaults to the fixed point."""
+    """Bottom-up continued fraction truncated at `depth`; the tail f defaults to the fixed point.
+
+    A float z runs in float arithmetic, bit-identical to complex arithmetic
+    with zero imaginary parts as long as every intermediate stays finite.
+    """
     if f is None:
         b2_tail = b_sq[depth]
         f = (-z + (z * z + 4.0 * b2_tail) ** 0.5) / (2.0 * b2_tail)
-    for k in range(depth, 0, -1):
-        f = 1.0 / (z + b_sq[k - 1] * f)
+    for b2 in reversed(b_sq[:depth]):
+        f = 1.0 / (z + b2 * f)
     return f
 
 
@@ -116,13 +120,16 @@ def relaxation_phi0(
     Finite chains are evaluated exactly (the fraction ends at the support
     with the tail 1/z).  Semi-infinite chains use depth-averaged truncation
     and raise ConvergenceError when halving the depth moves the value by
-    more than `tol` relatively.
+    more than `tol` relatively.  A real z (zero imaginary part) runs in
+    float arithmetic, bit-identical to the complex evaluation.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     z = complex(z)
     if z == 0:
         raise ValueError("phi_0(z) is evaluated off z = 0; use w_number for the limit")
+    if z.imag == 0.0:
+        z = z.real
     sup = seq.support
     if sup is not None:
         return _as_scalar(_cf_eval((seq.b_array(sup) ** 2).tolist(), z, sup, 1.0 / z))

@@ -12,6 +12,7 @@ import hashlib
 import html
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -103,6 +104,11 @@ def write_fit_report(path: Path, fit: FitResult) -> None:
     write_json(path, doc)
 
 
+# any character outside XML 1.0's Char production: C0 controls other than
+# tab, LF and CR, lone surrogates, U+FFFE and U+FFFF
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _svg_fmt(x: float) -> str:
     return f"{x:.4f}"
 
@@ -164,9 +170,10 @@ def write_fit_plot(
         f'stroke="#c23b22" stroke-width="1.5" stroke-dasharray="6,4"/>',
     ]
     if title:
+        text = html.escape(_NON_XML_CHAR.sub("\ufffd", title), quote=False)
         parts.append(
             f'<text x="{_svg_fmt(w / 2)}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{html.escape(title, quote=False)}</text>'
+            f'font-family="sans-serif" font-size="14">{text}</text>'
         )
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")

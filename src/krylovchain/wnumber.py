@@ -117,17 +117,10 @@ def w_number(seq: LanczosSequence, depth: int = 20000, tol: float = 1e-7) -> WCl
         slope = 0.0
     else:
         slope = math.log(v1 / v2) / math.log(z1 / z2)
-    if slope <= -0.5:
-        return WClassification(
-            verdict="infinite", partial_products=products, cf_trace=tuple(trace)
-        )
-    if slope >= 0.5:
-        return WClassification(
-            verdict="zero", partial_products=products, cf_trace=tuple(trace)
-        )
-    xs = [z for z, _ in trace]
-    ys = [v for _, v in trace]
-    value = _extrapolate_to_zero(xs, ys)
+    if abs(slope) >= 0.5:  # phi_0(z) scales like 1/z or like z
+        verdict = "infinite" if slope < 0 else "zero"
+        return WClassification(verdict=verdict, partial_products=products, cf_trace=tuple(trace))
+    value = _extrapolate_to_zero(*zip(*trace))
     if not value > 0:
         return WClassification(
             verdict="undetermined",

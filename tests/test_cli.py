@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from xml.etree import ElementTree
@@ -395,6 +396,29 @@ def test_fit_plot_title_is_escaped(tmp_path):
     assert r.returncode == 0, r.stderr
     root = ElementTree.parse(tmp_path / "f" / "a&b<c_fit.svg").getroot()
     assert "a&b<c" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a\x01b.json", os.fsdecode(b"a\xffb.json")],
+    ids=["c0_control", "not_utf8"],
+)
+def test_fit_plot_title_replaces_non_xml_characters(tmp_path, name):
+    # a control character is not an XML 1.0 character, and a name that is not
+    # UTF-8 stems to a lone surrogate; both become U+FFFD in the title.  A
+    # strict stdout, as under a UTF-8 locale, must still print the report path
+    (tmp_path / name).write_text(json.dumps(FITTABLE), encoding="utf-8")
+    cfg = write_config(tmp_path / "f.json", {"fit": {"c_min": 2.0}})
+    r = subprocess.run(
+        [sys.executable, "-m", "krylovchain.cli", "fit", str(tmp_path / name), "--config", cfg,
+         "--out", str(tmp_path / "f")],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+    )
+    assert r.returncode == 0, r.stderr.decode(errors="replace")
+    root = ElementTree.parse(tmp_path / "f" / (name[:-5] + "_fit.svg")).getroot()
+    assert "a\ufffdb" in [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert (tmp_path / "f" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(

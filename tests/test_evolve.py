@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import krylovchain
 from krylovchain import (
@@ -467,6 +468,35 @@ def test_short_finite_chains_match_closed_forms(seq, j, method, gate):
             err = float(np.max(np.abs(st.amplitudes - ref)))
         worst = max(worst, err)
     assert worst <= gate
+
+
+# worst errors over 300 derandomized examples of the strategy below: phi_0
+# 7.9e-9 (cayley4), 4.8e-8 (trapezoidal), 4.6e-11 (rk45) against the modes,
+# and 1.9e-15 for the cayley4 round trip; the phi_0 gates leave about 6x
+# headroom, the round-trip gate about 50x
+STEPPER_GATES = {"cayley4": 5e-8, "trapezoidal": 3e-7, "rk45": 3e-10}
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.lists(st.floats(0.25, 2.0), min_size=1, max_size=11), st.floats(0.5, 3.0))
+def test_steppers_match_modes_on_random_finite_chains(b, t_max):
+    # chains of 2 to 12 sites: phi_0 of every stepper against the mode
+    # decomposition, and cayley4 forward then back (odd sites flipped, which
+    # negates the generator) returns to delta_n0
+    seq = Explicit(tuple(b))
+    modes = finite_chain_modes(seq.b_array(seq.support))
+    for method, gate in STEPPER_GATES.items():
+        cfg = EvolveConfig(t_max=t_max, samples=6, method=method, rel_tol=1e-10)
+        for state in evolve(seq, cfg):
+            assert abs(state.amplitudes[0] - float(modes.phi0(state.t))) <= gate, method
+    cfg = EvolveConfig(t_max=t_max, samples=1, rel_tol=1e-10)
+    final = list(evolve(seq, cfg))[-1].amplitudes.copy()
+    final[1::2] *= -1.0
+    back = list(evolve(seq, cfg, initial=final))[-1].amplitudes.copy()
+    back[1::2] *= -1.0
+    start = np.zeros(len(back))
+    start[0] = 1.0
+    assert np.max(np.abs(back - start)) <= 1e-13
 
 
 def test_tail_mass_zero_where_no_coupling_leaves_the_window():

@@ -12,6 +12,7 @@ from krylovchain import (
     Explicit,
     ObservableSeries,
     OrderingError,
+    SqrtGrowth,
     SykLike,
     complexity,
     entropy,
@@ -20,6 +21,7 @@ from krylovchain import (
     relaxation_phi0,
     series_from_trajectory,
     spectral_density_finite,
+    w_number,
 )
 from krylovchain.evolve import WaveState
 from krylovchain.observables import entropy_of_probabilities
@@ -164,6 +166,76 @@ class TestRelaxation:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             relaxation_phi0(Constant(1.0), 0.0)
+
+
+def complex_cf(b_sq, z, depth, f=None):
+    # the continued-fraction loop with every z complex, kept as the reference
+    # that the float evaluation of a real z must match bit for bit
+    if f is None:
+        b2_tail = b_sq[depth]
+        f = (-z + (z * z + 4.0 * b2_tail) ** 0.5) / (2.0 * b2_tail)
+    for k in range(depth, 0, -1):
+        f = 1.0 / (z + b_sq[k - 1] * f)
+    return f
+
+
+def complex_scalar(v):
+    return v.real if v.imag == 0.0 else v
+
+
+def complex_phi0(seq, z, depth=20000, tol=1e-10):
+    """relaxation_phi0 in complex arithmetic throughout, as an outcome tuple."""
+    z = complex(z)
+    if seq.support is not None:
+        b_sq = (seq.b_array(seq.support) ** 2).tolist()
+        return ("value", complex_scalar(complex_cf(b_sq, z, seq.support, 1.0 / z)))
+    b_sq = (seq.b_array(depth + 2) ** 2).tolist()
+    hi = 0.5 * (complex_cf(b_sq, z, depth) + complex_cf(b_sq, z, depth + 1))
+    d_lo = max(depth // 2, 1)
+    lo = 0.5 * (complex_cf(b_sq, z, d_lo) + complex_cf(b_sq, z, d_lo + 1))
+    if abs(hi - lo) > tol * max(abs(hi), 1e-300):
+        return ("not converged", complex_scalar(lo), complex_scalar(hi))
+    return ("value", complex_scalar(hi))
+
+
+def phi0_outcome(seq, z, depth=20000, tol=1e-10):
+    """relaxation_phi0's value, or both trial values of its ConvergenceError."""
+    try:
+        return ("value", relaxation_phi0(seq, z, depth=depth, tol=tol))
+    except ConvergenceError as exc:
+        return ("not converged", exc.value_a, exc.value_b)
+
+
+REAL_AXIS_CHAINS = [
+    pytest.param(SykLike(1.0, 1.0), id="syk_1_1"),
+    pytest.param(Constant(1.0), id="constant_1"),
+    pytest.param(SqrtGrowth(1.0), id="sqrt_growth_1"),
+    pytest.param(Explicit((1.0, 2.0, 0.5)), id="explicit_3"),
+]
+
+
+class TestRealAxisArithmetic:
+    @pytest.mark.parametrize("seq", REAL_AXIS_CHAINS)
+    @pytest.mark.parametrize("z", [1e-4, 1e-2, 2.0, -3.0, 0.3 + 0.2j])
+    def test_matches_complex_evaluation_exactly(self, seq, z):
+        # at depth 4000 several semi-infinite cases miss tol = 1e-10, so their
+        # ConvergenceError values are compared as well
+        got, want = phi0_outcome(seq, z, depth=4000), complex_phi0(seq, z, depth=4000)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        want_type = complex if isinstance(z, complex) else float
+        assert all(type(v) is want_type for v in got[1:])
+
+    @pytest.mark.parametrize("seq", REAL_AXIS_CHAINS)
+    def test_real_z_of_any_type_gives_one_float(self, seq):
+        values = [relaxation_phi0(seq, z, depth=4000) for z in (2, 2.0, np.float64(2.0), 2 + 0j)]
+        assert all(type(v) is float for v in values)
+        assert [("value", v) for v in values] == [complex_phi0(seq, 2.0, depth=4000)] * 4
+
+    def test_w_trace_matches_complex_evaluation_exactly(self):
+        seq = SykLike(1.0, 1.0)
+        want = [(z, complex_phi0(seq, z, tol=1e-7)[1]) for z in (1e-2, 1e-3, 1e-4)]
+        assert list(w_number(seq).cf_trace) == want
 
 
 class TestImpulseSpectrum:
