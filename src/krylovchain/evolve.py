@@ -14,11 +14,13 @@ then redone on the grown window.
 
 Two stepper families are provided (METHODS names them):
 
-* Cayley compositions, "cayley4" (default) and "trapezoidal": the update
-  is a product of Cayley stages (I - c A) phi' = (I + c A) phi, with
-  c = w h / 2 for the stage weights w of a symmetric composition.
-  "trapezoidal" is the single stage w = 1 (order 2); "cayley4" is
-  Suzuki's five-stage composition (order 4).  A has no diagonal, so it
+* Cayley compositions, "cayley6" (default), "cayley4" and "trapezoidal":
+  the update is a product of Cayley stages (I - c A) phi' = (I + c A) phi,
+  with c = w h / 2 for the stage weights w of a symmetric composition.
+  "trapezoidal" is the single stage w = 1 (order 2), "cayley4" Suzuki's
+  five-stage composition (order 4) and "cayley6" a seven-stage
+  composition of order 6.  The step rule's error constant C (see
+  _CayleyStepper) is 1/12, 9.3e-4 and 2.6e-4.  A has no diagonal, so it
   couples even sites only to odd ones, and each stage is solved on the
   even sites alone: a symmetric positive-definite tridiagonal system of
   ceil(N/2) sites (the Schur complement of the odd sites), solved for the
@@ -66,10 +68,17 @@ __all__ = ["WaveState", "EvolveConfig", "rhs", "active_window_policy", "evolve",
 
 # Symmetric compositions of Cayley stages: name -> (stage weights, order).
 # "cayley4" is Suzuki's fourth-order five-stage composition, Phys. Lett. A
-# 146 (1990); see Hairer, Lubich & Wanner, Geometric Numerical
-# Integration, II.4.
+# 146 (1990).  Every stage is a rational function of the same A, so the
+# stages commute and the composition conditions (Hairer, Lubich & Wanner,
+# Geometric Numerical Integration, II.4; Yoshida, Phys. Lett. A 150
+# (1990)) reduce to sum w = 1 and sum w^(2j+1) = 0 for 1 <= j < order / 2.
+# "cayley6" solves them for order 6 with the weights (b, a, b, c, b, a, b),
+# 2a + 4b + c = 1, 2a^3 + 4b^3 + c^3 = 0, 2a^5 + 4b^5 + c^5 = 0 (the only
+# real root with |a|, |b| < 3; sum w^7 = 0.11519).
 _SUZUKI = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+_A6, _B6, _C6 = -0.83416055508086498, 0.43117553188395998, 0.94361898262589003
 _COMPOSITIONS = {
+    "cayley6": ((_B6, _A6, _B6, _C6, _B6, _A6, _B6), 6),
     "cayley4": ((_SUZUKI, _SUZUKI, 1.0 - 4.0 * _SUZUKI, _SUZUKI, _SUZUKI), 4),
     "trapezoidal": ((1.0,), 2),
 }
@@ -121,7 +130,7 @@ class EvolveConfig:
     truncation_tol: float = param(UNIT, 1e-12)
     guard_band: int = param(at_least(4), 8)
     max_active_size: int = param(at_least(16), 4_000_000)
-    method: str = param(one_of(*METHODS), "cayley4")
+    method: str = param(one_of(*METHODS), "cayley6")
     log_decades: float = param(POSITIVE, 3.0)
 
     def __post_init__(self):
@@ -296,7 +305,8 @@ class _CayleyStepper:
         h = (tol / C)^(1/(p+1)) / (SAFETY * R)
 
     keeps the per-step error near tol = abs_tol + rel_tol: C = 1/12 for
-    "trapezoidal" (p = 2) and C ~ 9.3e-4 for "cayley4" (p = 4).  A
+    "trapezoidal" (p = 2), C ~ 9.3e-4 for "cayley4" (p = 4) and
+    C ~ 2.6e-4 for "cayley6" (p = 6).  A
     feedback controller (step doubling) is deliberately not used: the
     update is exactly orthogonal, so unresolved high-frequency content
     only accumulates bounded phase mismatch, which a doubling estimator
@@ -328,10 +338,13 @@ class _CayleyStepper:
     def _factor(self, weight: float, c: float):
         """(c', bands) for the even-site system S = I + c'^2 A_oe^T A_oe.
 
-        bands = (dl, d, du, du2, ipiv, cp, cq): the LU bands of S / 2 (with
-        identity rows up to 3 rows) and the couplings cp_j = c' b_{2j+1},
-        cq_j = c' b_{2j+2} that S and the stage's products share.  Halving S
-        is exact and folds the stage's factor 2 into the solve.  c' is the
+        bands = (dl, d, du, du2, ipiv): dgttrf's LU bands of S / 2 (padded
+        with identity rows up to 3 rows), that is its sub-, main and
+        super-diagonal, its second superdiagonal and its pivots.  S is
+        built from cp_j = c' b_{2j+1} and cq_j = c' b_{2j+2}, which the
+        stage forms again from c' for its products: a cached pair per
+        weight would add N floats of peak memory per weight.  Halving S is
+        exact and folds the stage's factor 2 into the solve.  c' is the
         cached c when it matches c to rounding.
         """
         n = self.w.n
@@ -352,7 +365,7 @@ class _CayleyStepper:
         dl, d, du, du2, ipiv, info = lapack.dgttrf(s, d, s)
         if info != 0:
             raise RuntimeError(f"dgttrf failed with info={info}")
-        hit = self._factors[weight] = (c, (dl, d, du, du2, ipiv, cp, cq))
+        hit = self._factors[weight] = (c, (dl, d, du, du2, ipiv))
         return hit
 
     def _apply(self, h: float, y: np.ndarray, dy: Optional[np.ndarray] = None) -> np.ndarray:
@@ -361,8 +374,10 @@ class _CayleyStepper:
         Returns a new array and leaves y untouched.
         """
         e, o = y[0::2], y[1::2]
+        off = self.w.b[: self.w.n - 1]
         for weight in self.weights:
-            c, (dl, d, du, du2, ipiv, cp, cq) = self._factor(weight, 0.5 * weight * h)
+            c, (dl, d, du, du2, ipiv) = self._factor(weight, 0.5 * weight * h)
+            cp, cq = c * off[0::2], c * off[1::2]  # the values S was built from
             # u = o + c A_oe e; the first stage reads A_oe e off dy = A y
             if dy is None:
                 u = _odd_from_even(cp, cq, e, o)
@@ -372,7 +387,7 @@ class _CayleyStepper:
                 dy = None
             # (S / 2) delta = c A_eo u, then e' = e + delta, o' = u + c A_oe e'
             r = _even_from_odd(cp, cq, u, len(d))
-            delta, info = lapack.dgttrs(dl, d, du, du2, ipiv, r)
+            delta, info = lapack.dgttrs(dl, d, du, du2, ipiv, r, overwrite_b=True)
             if info != 0:
                 raise RuntimeError(f"dgttrs failed with info={info}")
             delta[: len(e)] += e

@@ -196,7 +196,7 @@ def test_build_evolve_config():
     cfg = build_evolve_config({"t_max": 1.5, "samples": 7, "method": "rk45"})
     assert cfg.t_max == 1.5 and cfg.samples == 7 and cfg.method == "rk45"
     # the schema and EvolveConfig accept the same method names
-    for method in ("cayley4", "trapezoidal", "rk45"):
+    for method in ("cayley6", "cayley4", "trapezoidal", "rk45"):
         parse_config({"evolve": {"t_max": 1.0, "method": method}})
         assert build_evolve_config({"t_max": 1.0, "method": method}).method == method
     with pytest.raises(SchemaError) as info:

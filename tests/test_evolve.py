@@ -228,7 +228,9 @@ def test_phi0_parity():
         assert 1.0 - st.amplitudes[0] == pytest.approx(0.5 * 1e-6, rel=1e-3), method
 
 
-@pytest.mark.parametrize("method,ratio", [("trapezoidal", 4.0), ("cayley4", 16.0)])
+@pytest.mark.parametrize(
+    "method,ratio", [("trapezoidal", 4.0), ("cayley4", 16.0), ("cayley6", 64.0)]
+)
 def test_fixed_step_order(method, ratio):
     # global error at fixed step h scales as h^order against the su(2) closed form
     from krylovchain.evolve import _CayleyStepper, _Window
@@ -245,6 +247,17 @@ def test_fixed_step_order(method, ratio):
             y = stp._apply(t_end / steps, y)
         errs.append(float(np.max(np.abs(y - ref))))
     assert errs[0] / errs[1] == pytest.approx(ratio, rel=0.25)
+
+
+def test_compositions_meet_their_order_conditions():
+    # the stages commute, so order p needs only sum w = 1 and
+    # sum w^(2j+1) = 0 for 1 <= j < p / 2
+    from krylovchain.evolve import _COMPOSITIONS
+
+    for method, (weights, order) in _COMPOSITIONS.items():
+        assert abs(math.fsum(weights) - 1.0) <= 1e-15, method
+        for j in range(1, order // 2):
+            assert abs(math.fsum(w ** (2 * j + 1) for w in weights)) <= 1e-15, (method, j)
 
 
 def test_cayley4_forward_back_round_trip():
@@ -338,9 +351,9 @@ class _CountingLapack:
         if name not in self.calls:
             return fn
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             self.calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return counted
 
@@ -353,13 +366,14 @@ def lapack_calls(monkeypatch):
     return counter.calls
 
 
-def test_fewest_equal_steps_per_interval(lapack_calls):
-    # a sample interval takes ceil(interval / dt_acc) steps of five Cayley
-    # stages, none longer than the step rule's dt_acc (snapping to
-    # interval / 2^k would take 32 steps here, not 23)
+@pytest.mark.parametrize("method,count", [("cayley4", 23), ("cayley6", 10)])
+def test_fewest_equal_steps_per_interval(lapack_calls, method, count):
+    # a sample interval takes ceil(interval / dt_acc) steps of one Cayley
+    # stage per weight, none longer than the step rule's dt_acc (snapping
+    # to interval / 2^k would take 32 cayley4 steps here, not 23)
     from krylovchain.evolve import _CayleyStepper, _Window
 
-    cfg = EvolveConfig(t_max=1.35e4 ** 0.5, samples=150, rel_tol=1e-8)
+    cfg = EvolveConfig(t_max=1.35e4 ** 0.5, samples=150, rel_tol=1e-8, method=method)
     w = _Window(PowerLaw(1.0, 0.5), cfg, None)
     w.resize(4000)  # room enough that no step is redone after a window growth
     stp = _CayleyStepper(w, cfg)
@@ -378,8 +392,8 @@ def test_fewest_equal_steps_per_interval(lapack_calls):
     interval = times[2] - t
     stp.advance(t, times[2])
     assert w.n == 4000
-    assert math.ceil(interval / rule[0]) == 23
-    assert lapack_calls["dgttrs"] - before == 5 * math.ceil(interval / rule[0])
+    assert math.ceil(interval / rule[0]) == count
+    assert lapack_calls["dgttrs"] - before == len(stp.weights) * math.ceil(interval / rule[0])
     assert all(h <= dt for h, dt in zip(steps, rule))
 
 
@@ -452,7 +466,11 @@ SHORT_CHAINS = [
 ]
 
 
-@pytest.mark.parametrize("method,gate", [("cayley4", 1e-8), ("trapezoidal", 1e-6)])
+# worst errors over these chains: 1.4e-10 (cayley6), 1.1e-9 (cayley4) and
+# 1.8e-7 (trapezoidal)
+@pytest.mark.parametrize(
+    "method,gate", [("cayley6", 1e-9), ("cayley4", 1e-8), ("trapezoidal", 1e-6)]
+)
 @pytest.mark.parametrize("seq,j", SHORT_CHAINS)
 def test_short_finite_chains_match_closed_forms(seq, j, method, gate):
     # windows of 2 to 4 sites run the padded half-size Cayley stage; phi_0
@@ -471,10 +489,12 @@ def test_short_finite_chains_match_closed_forms(seq, j, method, gate):
 
 
 # worst errors over 300 derandomized examples of the strategy below: phi_0
-# 7.9e-9 (cayley4), 4.8e-8 (trapezoidal), 4.6e-11 (rk45) against the modes,
-# and 1.9e-15 for the cayley4 round trip; the phi_0 gates leave about 6x
-# headroom, the round-trip gate about 50x
-STEPPER_GATES = {"cayley4": 5e-8, "trapezoidal": 3e-7, "rk45": 3e-10}
+# 1.2e-8 (cayley6), 7.5e-9 (cayley4), 5.6e-8 (trapezoidal), 6.1e-11 (rk45)
+# against the modes, and 2.2e-15 for the round trip under the default
+# method; the phi_0 gates leave 5x to 7x headroom, the round-trip gate about
+# 45x.  cayley6's worst chains start on a weak b_1 ~ 0.25 next to a strong
+# b_2 ~ 1.4 to 2, whose fast modes the step rule's rate does not see.
+STEPPER_GATES = {"cayley6": 7e-8, "cayley4": 5e-8, "trapezoidal": 3e-7, "rk45": 3e-10}
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -581,7 +601,7 @@ def test_config_validation():
         EvolveConfig(t_max=1.0, rel_tol=2.0)
     with pytest.raises(ValueError):
         EvolveConfig(t_max=1.0, method="verlet")
-    assert EvolveConfig(t_max=1.0).method == "cayley4"
+    assert EvolveConfig(t_max=1.0).method == "cayley6"
     with pytest.raises(ValueError):
         EvolveConfig(t_max=1.0, sample_times=(0.5, 0.2)).resolve_sample_times()
 
