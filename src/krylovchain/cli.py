@@ -12,7 +12,8 @@ Subcommands:
 Exit codes: 0 success, 2 usage/window/schema/series-artifact error or
 colliding fit stems, 3 bound violation, 4 invalid moments, or precision
 exhausted (a double to_lanczos conversion, or a to_moments moment past
-the float64 range), 5 resource limit.
+the float64 range), 5 resource limit: the window cap, or a step below
+the step floor (evolve writes the samples taken so far).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
     PrecisionExhaustedError,
     ResourceLimitError,
     SchemaError,
+    StiffnessError,
     WindowError,
 )
 from .evolve import evolve
@@ -76,14 +78,19 @@ _EXIT_CODES = {
 }
 
 
-def _load_config(path: str):
+def _load_config(path: str, command: str):
+    """The config document at path and its RunConfig, which holds every section command requires."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise SchemaError("", f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"config is not valid JSON: {exc}")
-    return doc, parse_config(doc)
+    cfg = parse_config(doc)
+    for section in _COMMANDS[command][2] if command in _COMMANDS else ():
+        if getattr(cfg, section) is None:
+            raise SchemaError(f"/{section}", f"required for {command}")
+    return doc, cfg
 
 
 def _point_label(index: int, assignment: dict) -> str:
@@ -94,11 +101,13 @@ def _point_label(index: int, assignment: dict) -> str:
 
 
 def _until_resource_limit(states, errors: list):
-    """Pass states through; on a resource limit stop and record it in errors."""
+    """Pass states through; on the window cap or the step floor stop and record it in errors."""
     try:
         yield from states
     except ResourceLimitError as exc:
         errors.append(f"resource limit at t={exc.t_reached:.6g}")
+    except StiffnessError as exc:
+        errors.append(str(exc))
 
 
 def _run_one_point(args):
@@ -143,11 +152,7 @@ def _keywords(fn, section: dict) -> dict:
 
 
 def _cmd_evolve(ns) -> int:
-    doc, cfg = _load_config(ns.config)
-    if cfg.family is None:
-        raise SchemaError("/family", "required for evolve")
-    if cfg.evolve is None:
-        raise SchemaError("/evolve", "required for evolve")
+    doc, cfg = _load_config(ns.config, "evolve")
     out_dir = _out_dir(ns)
     points = sweep_points(cfg)
     jobs = ns.jobs if ns.jobs is not None else cfg.jobs
@@ -172,7 +177,7 @@ def _cmd_evolve(ns) -> int:
 
 
 def _cmd_fit(ns) -> int:
-    doc, cfg = _load_config(ns.config) if ns.config else ({}, None)
+    doc, cfg = _load_config(ns.config, "fit") if ns.config else ({}, None)
     fit_cfg = cfg.fit if cfg is not None else {}
     # every series is loaded and fitted before any report is written, so a
     # bad argument leaves no partial artifacts behind
@@ -207,12 +212,14 @@ def _cmd_fit(ns) -> int:
     return exit_code
 
 
-def _moments_report(section: dict, entries: list) -> dict:
-    """The report of one moments conversion; entries are the parsed values."""
+def _moments_report(section: dict) -> dict:
+    """The report of one moments conversion."""
+    values = section["values"]
     if section["direction"] == "to_lanczos":
-        mseq = MomentSequence.from_values(entries)
-        count = section.get("count", len(entries) - 1)
-        precision = "double" if section.get("arithmetic") == "double" else "auto"
+        arithmetic = section.get("arithmetic", "exact")
+        mseq = MomentSequence.from_values(map(Fraction if arithmetic == "exact" else float, values))
+        count = section.get("count", len(values) - 1)
+        precision = "double" if arithmetic == "double" else "auto"
         conv = moments_to_lanczos(mseq, count, precision=precision)
         back = lanczos_to_moments(b_squared=conv.b_squared, count=count)
         residual = max(abs(float(a) - float(b)) for a, b in zip(back.entries, mseq.entries))
@@ -225,7 +232,7 @@ def _moments_report(section: dict, entries: list) -> dict:
             ],
             "round_trip_residual": residual,
         }
-    mseq = lanczos_to_moments(b=entries, count=section.get("count", len(entries)))
+    mseq = lanczos_to_moments(b=values, count=section.get("count", len(values)))
     moments = []
     for order, v in enumerate(mseq.entries):  # exact rationals, possibly past float64
         try:
@@ -234,21 +241,17 @@ def _moments_report(section: dict, entries: list) -> dict:
             raise PrecisionExhaustedError(order, "moment exceeds the float64 range") from None
     return {
         "direction": "to_moments",
-        "arithmetic": "exact" if mseq.exact else "float",
+        "arithmetic": "exact",
         "moments": moments,
         "round_trip_residual": 0.0,
     }
 
 
 def _cmd_moments(ns) -> int:
-    doc, cfg = _load_config(ns.config)
-    if cfg.moments is None:
-        raise SchemaError("/moments", "required for the moments command")
-    exact = cfg.moments.get("arithmetic", "exact") == "exact"
-    entries = [Fraction(v) if exact else float(v) for v in cfg.moments["values"]]
+    doc, cfg = _load_config(ns.config, "moments")
     report_path = _out_dir(ns) / "moments_report.json"
     try:
-        report = _moments_report(cfg.moments, entries)
+        report = _moments_report(cfg.moments)
     except (InvalidMomentSequenceError, PrecisionExhaustedError) as exc:
         write_json(report_path, {"error": str(exc), "failing_order": exc.order})
         raise
@@ -258,9 +261,7 @@ def _cmd_moments(ns) -> int:
 
 
 def _cmd_wnumber(ns) -> int:
-    doc, cfg = _load_config(ns.config)
-    if cfg.family is None:
-        raise SchemaError("/family", "required for wnumber")
+    doc, cfg = _load_config(ns.config, "wnumber")
     cls = w_number(build_sequence(cfg.family), **cfg.wnumber)
     path = _out_dir(ns) / "wnumber_report.json"
     write_json(path, asdict(cls))
@@ -269,14 +270,24 @@ def _cmd_wnumber(ns) -> int:
 
 
 def _cmd_modes(ns) -> int:
-    doc, cfg = _load_config(ns.config)
-    if cfg.family is None or cfg.family.get("kind") != "explicit":
+    doc, cfg = _load_config(ns.config, "modes")
+    if cfg.family["kind"] != "explicit":
         raise SchemaError("/family/kind", "modes needs an explicit family")
     md = finite_chain_modes(cfg.family["coefficients"])
     path = _out_dir(ns) / "modes_report.json"
     write_json(path, {**asdict(md), "impulses": spectral_density_finite(md).impulses})
     print(path)
     return EXIT_OK
+
+
+# the subcommands run from a config: (handler, help, the config sections it
+# requires); fit takes series arguments and an optional config
+_COMMANDS = {
+    "evolve": (_cmd_evolve, "run evolutions (with optional sweep)", ("family", "evolve")),
+    "moments": (_cmd_moments, "convert moments <-> coefficients", ("moments",)),
+    "wnumber": (_cmd_wnumber, "classify the ergodicity indicator W", ("family",)),
+    "modes": (_cmd_modes, "finite-chain mode decomposition", ("family",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,34 +297,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evolve", help="run evolutions (with optional sweep)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--format", choices=("csv", "json", "both"), default=None)
-    p.set_defaults(fn=_cmd_evolve)
+    for name, (fn, help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(fn=fn)
+        if name == "evolve":
+            p.add_argument("--jobs", type=int, default=None)
+            p.add_argument("--format", choices=("csv", "json", "both"), default=None)
 
     p = sub.add_parser("fit", help="fit S_K = eta ln C_K + c on series artifacts")
     p.add_argument("series", nargs="+", help="series CSV/JSON artifacts")
     p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_fit)
-
-    p = sub.add_parser("moments", help="convert moments <-> coefficients")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_moments)
-
-    p = sub.add_parser("wnumber", help="classify the ergodicity indicator W")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_wnumber)
-
-    p = sub.add_parser("modes", help="finite-chain mode decomposition")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_modes)
     return parser
 
 

@@ -161,12 +161,12 @@ def bessel_chain_profile(variant: str, omega0: float, t: float, n_sites: int) ->
     return bessel_chain_wavefunction(variant, omega0, np.arange(n_sites), t) ** 2
 
 
-def series_from_profile(profile_fn, times: Sequence[float], tail_rel: float = 1e-16) -> ObservableSeries:
+def series_from_profile(profile_fn, times: Sequence[float]) -> ObservableSeries:
     """ObservableSeries from a closed-form probability profile.
 
     profile_fn(t, n_sites) must return occupation probabilities; the site
-    count is grown until the trailing mass is negligible relative to
-    tail_rel, so truncation never biases the sums.  Each profile becomes
+    count is grown until the last 8 sites hold at most 1e-16 of the mass,
+    so truncation never biases the sums.  Each profile becomes
     the state sqrt(p) and is reduced by series_from_trajectory.
     """
 
@@ -178,7 +178,7 @@ def series_from_profile(profile_fn, times: Sequence[float], tail_rel: float = 1e
                 p = profile_fn(t, n_sites)
                 if len(p) < n_sites:
                     break  # finite chain: the profile ignores the requested size
-                if np.sum(p[-8:]) <= tail_rel or n_sites >= 50_000_000:
+                if np.sum(p[-8:]) <= 1e-16 or n_sites >= 50_000_000:
                     break
                 n_sites = int(math.ceil(n_sites * 1.6)) + 8
             yield WaveState(t, np.sqrt(p), len(p), abs(float(np.sum(p)) - 1.0), 0.0)
@@ -316,17 +316,13 @@ def spectral_model_density(model: SpectralModel, omega: float) -> float:
     return pref * power * math.exp(-u)
 
 
-def spectral_model_sequence(
-    model: SpectralModel,
-    exact_count: int = 96,
-    fit_tail: int = 48,
-) -> StitchedSequence:
+def spectral_model_sequence(model: SpectralModel, exact_count: int = 96) -> StitchedSequence:
     """Hopping sequence of the model density: exact head, fitted linear tail.
 
     The first `exact_count` coefficients come from the exact rational
     moment problem in omega0 = 1 units (then scaled); beyond the head the
     sequence continues as alpha*n + gamma_parity + c_parity/n with the
-    parity constants fitted on the last `fit_tail` exact coefficients.
+    parity constants fitted on the last 48 exact coefficients.
     The even/odd split matters: the coefficients of this family approach
     their linear asymptote on two interleaved branches.
     """
@@ -343,9 +339,7 @@ def spectral_model_sequence(
     resid = b_unit - alpha_unit * n
     gammas = {}
     for parity in (0, 1):
-        mask = (np.arange(1, exact_count + 1) % 2 == parity) & (
-            np.arange(1, exact_count + 1) > exact_count - fit_tail
-        )
+        mask = (n % 2 == parity) & (n > exact_count - 48)
         design = np.stack([np.ones(int(mask.sum())), 1.0 / n[mask]], axis=1)
         coef, *_ = np.linalg.lstsq(design, resid[mask], rcond=None)
         gammas[parity] = coef

@@ -215,7 +215,7 @@ _SECTION_KEYS = {
     "wnumber": _WNUMBER_KEYS,
     "output": _OUTPUT_KEYS,
 }
-_SWEPT = ("family", "evolve", "fit")
+_SWEPT = ("family", "evolve")  # the sections a sweep point's evolve reads
 _SECTION_FIELDS = ("family", "evolve", "fit", "moments", "wnumber")  # RunConfig fields
 
 
@@ -231,12 +231,19 @@ def _check_sections(doc: Dict[str, Any], heads):
             build_evolve_config(doc[head])
         else:
             _check_section(doc[head], _SECTION_KEYS[head], f"/{head}")
-            if head == "moments" and doc[head]["direction"] == "to_lanczos":
+            if head == "moments":
                 _check_moments(doc[head])
 
 
 def _check_moments(section: Dict[str, Any]):
-    """Moments to convert: mu_0 = 1, and one coefficient at most per moment past mu_0."""
+    """to_lanczos: mu_0 = 1, and one coefficient at most per moment past mu_0.
+
+    to_moments is exact whatever the input, so it takes no arithmetic.
+    """
+    if section["direction"] == "to_moments":
+        if "arithmetic" in section:
+            raise SchemaError("/moments/arithmetic", "applies to to_lanczos only")
+        return
     values = section["values"]
     if values[0] != 1:
         raise SchemaError("/moments/values", f"mu_0 must be 1, got {values[0]!r}")
@@ -279,9 +286,7 @@ def parse_config(document: Any) -> RunConfig:
                 raise SchemaError(f"/sweep/{axis}", "expected a non-empty list")
             parts = axis.split(".")
             if len(parts) != 2 or parts[0] not in _SWEPT:
-                raise SchemaError(
-                    f"/sweep/{axis}", "axis must target family.*, evolve.* or fit.*"
-                )
+                raise SchemaError(f"/sweep/{axis}", "axis must target family.* or evolve.*")
         cfg.sweep = {k: list(v) for k, v in sweep.items()}
         _check_sweep_points(cfg)
     if "jobs" in document:
@@ -339,6 +344,6 @@ CONFIG_SCHEMA_DOC = {
     "moments": sorted(_MOMENTS_KEYS),
     "wnumber": sorted(_WNUMBER_KEYS),
     "output": sorted(_OUTPUT_KEYS),
-    "sweep": "object mapping dotted axis paths (family.*, evolve.*, fit.*) to value lists",
+    "sweep": "object mapping dotted axis paths (family.*, evolve.*) to value lists",
     "jobs": "integer >= 1",
 }

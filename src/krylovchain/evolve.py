@@ -137,8 +137,19 @@ class EvolveConfig:
         check_fields(self)
         if self.sample_times is not None:
             object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
+            if self.sample_times[-1] > self.t_max:
+                raise ParameterError("sample_times", f"expected times <= t_max = {self.t_max!r}")
         elif self.grid == "log" and self.samples < 2:  # geomspace(lo, t_max, 1) is [lo]
             raise ParameterError("samples", "the log grid needs samples >= 2")
+        elif self.grid == "log" and self.t_max * 10.0 ** -self.log_decades <= 1e-12:
+            raise ParameterError("log_decades", "expected t_max 10^-log_decades > 1e-12")
+        # a sample interval shorter than the clock's tolerance takes no step
+        times = self.resolve_sample_times()
+        if any(b - a <= 1e-12 * max(1.0, b) for a, b in zip(times, times[1:])):
+            raise ParameterError(
+                "sample_times" if self.sample_times is not None else None,
+                "expected sample times more than 1e-12 max(1, t) apart",
+            )
 
     def resolve_sample_times(self) -> Tuple[float, ...]:
         if self.sample_times is not None:
@@ -186,6 +197,12 @@ def _even_from_odd(cp: np.ndarray, cq: np.ndarray, o: np.ndarray, size: int) -> 
 def _grown(n: int, cfg: EvolveConfig) -> int:
     """The window growth rule: the size that follows n sites."""
     return min(math.ceil(1.12 * n) + cfg.guard_band, cfg.max_active_size)
+
+
+def _check_step(t: float, h: float, t_target: float) -> None:
+    """The step floor of both steppers: StiffnessError at t unless h >= 1e-13 max(1, |t_target|)."""
+    if not h >= 1e-13 * max(1.0, abs(t_target)):
+        raise StiffnessError(t, h)
 
 
 def active_window_policy(state: WaveState, cfg: EvolveConfig) -> int:
@@ -418,9 +435,12 @@ class _CayleyStepper:
         return max(num / max(den, 1e-300), 1e-300)
 
     def _pick_dt(self, remaining: float, y: np.ndarray, dy: np.ndarray) -> float:
-        """Length of the fewest equal steps over `remaining` that the step rule allows."""
+        """Length of the fewest equal steps over `remaining` that the step rule allows.
+
+        A rule's step under remaining / 1e13, below the step floor, is returned as it is.
+        """
         dt_acc = self._dt_acc_base / self._rate(y, dy)
-        return remaining / math.ceil(remaining / dt_acc)
+        return remaining / math.ceil(remaining / dt_acc) if remaining < 1e13 * dt_acc else dt_acc
 
     def advance(self, t: float, t_target: float) -> float:
         """Advance to t_target; returns the time reached."""
@@ -435,11 +455,10 @@ class _CayleyStepper:
             y0 = self.w.y
             dy = _hop(self.w.b[: self.w.n - 1], y0)
             h_rule = self._pick_dt(t_target - t, y0, dy)
+            _check_step(t, h_rule, t_target)
             steps = round((t_target - t) / h_rule)
             if steps != m - k:
                 start, k, m, h = t, 0, steps, h_rule
-            if h < 1e-13 * max(1.0, abs(t_target)):
-                raise StiffnessError(t, h, "step size underflow")
             y = self._apply(h, y0, dy)
             del dy  # free it before a window growth allocates
             if self.w.accept(y, y0, t):
@@ -480,11 +499,12 @@ class _RK45Stepper:
             n = w.n
             w.ensure_headroom()
             if solver is None or w.n != n:
+                max_step = 0.5 / max(np.max(w.b, initial=0.0), 1e-300)
+                _check_step(t, max_step, t_target)
                 first = None if self.h is None else min(self.h, t_target - t)
                 solver = RK45(
                     lambda _t, y, off=w.b[: w.n - 1]: _hop(off, y),
-                    t, w.y, t_target, first_step=first,
-                    max_step=0.5 / max(np.max(w.b, initial=0.0), 1e-300),
+                    t, w.y, t_target, first_step=first, max_step=max_step,
                     rtol=self.cfg.rel_tol, atol=self.cfg.abs_tol,
                 )
             y0 = w.y
@@ -509,7 +529,8 @@ def evolve(
     The initial condition is phi_n(0) = delta_{n0} unless `initial`
     supplies an amplitude vector (used e.g. for reversal checks).  Raises
     ResourceLimitError when the window would exceed max_active_size and
-    StiffnessError on step-size underflow.
+    StiffnessError when a step would be shorter than the step floor
+    1e-13 max(1, t) at the next sample time t (see _check_step).
     """
     times = cfg.resolve_sample_times()
     window = _Window(seq, cfg, initial)

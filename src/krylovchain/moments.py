@@ -54,29 +54,24 @@ __all__ = [
 Number = Union[Fraction, float]
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational)
-
-
 @dataclass(frozen=True)
 class MomentSequence:
     """Even moments mu_0, mu_2, ..., mu_{2K}; entries[k] is mu_{2k}.
 
-    precision is "exact" when every entry is rational, otherwise "float".
-    mu_0 must equal 1 (normalized initial operator).
+    The entries are all Fractions when every value given is rational, and
+    all floats otherwise; `exact` tells which.  mu_0 must equal 1
+    (normalized initial operator).
     """
 
     entries: Tuple[Number, ...]
-    precision: str = "exact"
 
     def __post_init__(self):
         entries = tuple(self.entries)
         if len(entries) == 0:
             raise ValueError("a moment sequence needs at least mu_0")
-        exact = all(_is_exact(v) for v in entries)
+        exact = all(isinstance(v, Rational) for v in entries)
         entries = tuple(Fraction(v) if exact else float(v) for v in entries)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "precision", "exact" if exact else "float")
         if entries[0] != 1:
             raise ValueError(f"mu_0 must be 1, got {entries[0]}")
 
@@ -89,7 +84,7 @@ class MomentSequence:
 
     @property
     def exact(self) -> bool:
-        return self.precision == "exact"
+        return isinstance(self.entries[0], Fraction)
 
 
 @dataclass(frozen=True)
@@ -146,16 +141,17 @@ def _qd_recurrence(mu, count, is_bad):
 def moments_to_lanczos(
     moments: MomentSequence,
     count: int,
-    precision: Union[str, int] = "auto",
+    precision: str = "auto",
 ) -> LanczosConversion:
     """First `count` coefficients b_1..b_count from mu_0..mu_{2*count}.
 
     Needs count+1 moment entries.  precision: "auto" picks exact
     arithmetic for rational input and a count-scaled mpmath precision
-    otherwise; an integer forces that many decimal digits; "double"
-    forces float64 (which raises PrecisionExhaustedError once
-    cancellation wins).
+    for float input; "double" forces float64 (which raises
+    PrecisionExhaustedError once cancellation wins).
     """
+    if precision not in ("auto", "double"):
+        raise ValueError(f"precision must be 'auto' or 'double', got {precision!r}")
     if count < 0:
         raise ValueError("count must be >= 0")
     if len(moments) < count + 1:
@@ -186,13 +182,11 @@ def moments_to_lanczos(
             raise PrecisionExhaustedError(fail, "float64 cancellation")
         return LanczosConversion(b_squared=tuple(b2), mode="double")
 
-    # mpmath path; one digit is lost per order, so scale the precision
-    digits = precision if isinstance(precision, int) else max(30, 20 + 3 * count)
+    # mpmath path for float entries; one digit is lost per order, so scale
+    # the precision
+    digits = max(30, 20 + 3 * count)
     with mp.workdps(digits):
-        vals = [
-            mp.mpf(v.numerator) / mp.mpf(v.denominator) if _is_exact(v) else mp.mpf(v)
-            for v in moments.entries
-        ]
+        vals = [mp.mpf(v) for v in moments.entries]
         b2, fail = _qd_recurrence(
             vals, count, lambda x: not (x > 0 and mp.isfinite(x))
         )

@@ -10,6 +10,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from krylovchain import cli
 from krylovchain.observables import ObservableSeries
 from krylovchain.outputs import load_series, write_series_csv, write_series_json
 
@@ -184,6 +185,18 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
             "/evolve/sample_times",
         ),
         ({**BASE_EVOLVE, "evolve": {"t_max": 5.0, "samples": 1, "grid": "log"}}, "/evolve/samples"),
+        # t_max bounds the run: no sample time may lie past it
+        ({**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": [0, 3]}}, "/evolve/sample_times"),
+        # sample times the clock cannot tell apart
+        ({**BASE_EVOLVE, "evolve": {"t_max": 1e-12}}, "at /evolve: "),
+        (
+            {**BASE_EVOLVE, "evolve": {"t_max": 1.0, "grid": "log", "log_decades": 400}},
+            "/evolve/log_decades",
+        ),
+        (
+            {**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": [0.5, 0.5 + 1e-13]}},
+            "/evolve/sample_times",
+        ),
     ],
     ids=[
         "swept_eta",
@@ -198,6 +211,10 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
         "empty_sample_times_cayley4",
         "empty_sample_times_rk45",
         "log_grid_one_sample",
+        "sample_time_past_t_max",
+        "uniform_grid_finer_than_clock",
+        "log_grid_first_time_underflows",
+        "sample_times_finer_than_clock",
     ],
 )
 def test_invalid_values_exit_2_before_running(tmp_path, doc, pointer):
@@ -290,6 +307,45 @@ def test_resource_limit_exit_5_with_partial_results(tmp_path):
     assert "resource limit" in r.stderr
     series = load_series(out / "series.csv")  # partial results written
     assert 0 < len(series) < 31
+
+
+@pytest.mark.parametrize("method", ["cayley6", "rk45"])
+@pytest.mark.parametrize("b", [1e20, 1e300])
+def test_step_floor_exit_5_with_partial_results(tmp_path, b, method):
+    # every step the rule allows is below the step floor: the t = 0 row is
+    # written and the run ends like one that hits the window cap
+    doc = {
+        "family": {"kind": "constant", "b": b},
+        "evolve": {"t_max": 1, "samples": 2, "method": method},
+    }
+    out = tmp_path / "out"
+    r = run_cli("evolve", "--config", write_config(tmp_path / "c.json", doc), "--out", str(out))
+    assert r.returncode == 5
+    assert r.stderr.count("step size underflow at t=0 ") == 1 and "Traceback" not in r.stderr
+    assert (out / "series.csv").read_text().splitlines() == [
+        "t,c_k,s_k,phi0,norm_error,active_size",
+        "0.0,0.0,0.0,1.0,0.0,16",
+    ]
+
+
+# a config that has every section some subcommand requires
+ALL_SECTIONS = {
+    "family": {"kind": "explicit", "coefficients": [1.0]},
+    "evolve": {"t_max": 1.0},
+    "moments": {"direction": "to_lanczos", "values": [1, 1]},
+}
+
+
+@pytest.mark.parametrize(
+    "command,section",
+    [(name, section) for name, (_, _, requires) in cli._COMMANDS.items() for section in requires],
+)
+def test_missing_required_section_exit_2(tmp_path, capsys, command, section):
+    doc = {k: v for k, v in ALL_SECTIONS.items() if k != section}
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", write_config(tmp_path / "c.json", doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error at /{section}: required for {command}\n"
+    assert not out.exists()
 
 
 def test_csv_float_format_round_trips(tmp_path):
@@ -431,10 +487,12 @@ def test_fit_plot_title_replaces_non_xml_characters(tmp_path, name):
             4,
             "order 2",
         ),
+        ({"direction": "to_moments", "values": [1e200], "count": 3}, 4, "order 1"),
+        # to_moments is exact whatever the input
         (
-            {"direction": "to_moments", "values": [1e200], "count": 3, "arithmetic": "float"},
-            4,
-            "order 1",
+            {"direction": "to_moments", "values": [1.0], "arithmetic": "exact"},
+            2,
+            "/moments/arithmetic",
         ),
     ],
     ids=[
@@ -442,6 +500,7 @@ def test_fit_plot_title_replaces_non_xml_characters(tmp_path, name):
         "mu0_not_one",
         "double_precision_exhausted",
         "to_moments_overflow",
+        "to_moments_arithmetic",
     ],
 )
 def test_moments_config_exit_codes(tmp_path, moments, code, fragment):

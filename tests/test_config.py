@@ -1,13 +1,15 @@
 """Config schema validation and sequence construction."""
 
+import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from krylovchain import SchemaError, SykLike
+from krylovchain import SchemaError, SykLike, cli
 from krylovchain.config import (
     CONFIG_SCHEMA_DOC,
     apply_sweep_point,
@@ -16,6 +18,7 @@ from krylovchain.config import (
     parse_config,
     sweep_points,
 )
+from krylovchain.evolve import METHODS
 
 
 BASE = {
@@ -88,22 +91,28 @@ def test_sweep_axis_must_name_one_key():
 
 
 @pytest.mark.parametrize(
-    "sweep,pointer",
+    "sweep,pointer,detail",
     [
-        ({"family.eta": [1.0, -1.0]}, "/sweep/family.eta"),
-        ({"evolve.t_max": [1.0, 0.0]}, "/sweep/evolve.t_max"),
-        ({"evolve.sample_times": [[0.0, 0.5], [0.5, 0.1]]}, "/sweep/evolve.sample_times"),
-        ({"fit.c_min": [10.0, -1.0]}, "/sweep/fit.c_min"),
+        ({"family.eta": [1.0, -1.0]}, "/sweep/family.eta", "value -1.0 fails /family/eta"),
+        ({"evolve.t_max": [1.0, 0.0]}, "/sweep/evolve.t_max", "value 0.0 fails /evolve/t_max"),
+        (
+            {"evolve.sample_times": [[0.0, 0.5], [0.5, 0.1]]},
+            "/sweep/evolve.sample_times",
+            "value [0.5, 0.1] fails /evolve/sample_times",
+        ),
+        # a sweep point runs only its evolve, so no fit.* axis could change a result
+        ({"fit.c_min": [5.0, 500.0]}, "/sweep/fit.c_min", "axis must target family.* or evolve.*"),
         # the point is invalid through its kind, not through a key of its own
-        ({"family.kind": ["syk_like", "constant"]}, "/sweep/family.kind"),
-        ({"family.eta": [2.0], "family.kind": ["linear"]}, "/sweep/family.eta"),
+        ({"family.kind": ["syk_like", "constant"]}, "/sweep/family.kind", "fails /family/alpha"),
+        ({"family.eta": [2.0], "family.kind": ["linear"]}, "/sweep/family.eta", "fails /family/eta"),
     ],
     ids=["eta", "t_max", "sample_times", "c_min", "kind", "key_of_other_kind"],
 )
-def test_swept_values_validated(sweep, pointer):
+def test_swept_values_validated(sweep, pointer, detail):
     with pytest.raises(SchemaError) as info:
         parse_config({**BASE, "sweep": sweep})
     assert info.value.pointer == pointer
+    assert detail in info.value.detail
 
 
 @pytest.mark.parametrize(
@@ -138,7 +147,7 @@ def test_family_values_the_builders_accept(family):
 
 
 def test_swept_values_valid_at_every_point():
-    sweep = {"family.eta": [0.5, 2.0], "evolve.sample_times": [[0.0, 1.0]], "fit.c_min": [5.0]}
+    sweep = {"family.eta": [0.5, 2.0], "evolve.sample_times": [[0.0, 1.0]]}
     cfg = parse_config({**BASE, "sweep": sweep})
     assert len(sweep_points(cfg)) == 2
 
@@ -310,3 +319,54 @@ def test_accepted_families_build(kind, data):
 def test_accepted_evolve_sections_build(evolve):
     if _accepted({"evolve": evolve}):
         build_evolve_config(evolve)
+
+
+# The sections above are accepted together about once in 1,000 draws, so here
+# each key is drawn from values its rule may admit, the extremes included.
+# Tolerances come from a list: one between 1e-90 and 1e-20 is above the step
+# floor but takes 1e4 to 1e13 steps.  t_max <= 2 and max_active_size <= 512
+# keep every run short.
+_admitted = st.floats(0.01, 3.0) | st.sampled_from([5e-324, 1e-300, 1e20, 1e300, 1e308])
+family_sections = st.sampled_from(sorted(k for k in _PARAMS if k != "spectral_model")).flatmap(
+    lambda kind: st.fixed_dictionaries({
+        "kind": st.just(kind),
+        **{
+            key: st.lists(_admitted, min_size=1, max_size=3) if key == "coefficients"
+            else _admitted | st.integers(1, 3)
+            for key in _PARAMS[kind]
+        },
+    })
+)
+_tolerances = st.sampled_from([5e-324, 1e-300, 1e-9, 1e-6, 0.5])
+run_evolve_sections = st.fixed_dictionaries(
+    {"t_max": st.floats(0.5, 2.0) | st.just(1e-300), "max_active_size": st.integers(16, 512)},
+    optional={
+        "samples": st.integers(1, 20),
+        "grid": st.sampled_from(["uniform", "log"]),
+        "log_decades": _admitted,
+        "sample_times": st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4, unique=True).map(sorted),
+        "rel_tol": _tolerances,
+        "abs_tol": _tolerances,
+        "truncation_tol": _tolerances,
+        "guard_band": st.integers(4, 16),
+        "method": st.sampled_from(METHODS),
+    },
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# the explicit examples run top down, and the first failure ends the test: a
+# run without the step floor raises on the first two and never ends the third
+@settings(DETERMINISTIC, max_examples=150, report_multiple_bugs=False)
+@given(family_sections, run_evolve_sections)
+@example({"kind": "constant", "b": 1e20}, {"t_max": 1, "samples": 2})
+@example({"kind": "constant", "b": 1e300}, {"t_max": 1, "samples": 2})
+@example({"kind": "constant", "b": 1e20}, {"t_max": 1, "samples": 2, "method": "rk45"})
+def test_accepted_configs_evolve_exit_0_2_or_5(family, evolve):
+    # the step floor and the window cap end a run with exit 5, never a traceback
+    doc = {"family": family, "evolve": evolve}
+    assume(_accepted(doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["evolve", "--config", str(path), "--out", str(Path(tmp) / "o")]) in (0, 2, 5)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from krylovchain import (
     PowerLaw,
     ResourceLimitError,
     SqrtGrowth,
+    StiffnessError,
     Su2,
     SykLike,
     WaveState,
@@ -539,6 +541,39 @@ def test_resource_limit_reports_time(method):
         list(evolve(SykLike(1.0, 1.0), cfg))
     assert 0.0 < info.value.t_reached < 6.0
     assert info.value.max_active_size == 64
+
+
+def test_rk45_redoes_refused_steps(monkeypatch):
+    # with truncation_tol at 1e-90 the SYK front fills the guard band past
+    # it within one rk45 step; each refused step rebuilds the solver
+    from krylovchain.evolve import _Window
+
+    accept, refused = _Window.accept, []
+
+    def counting(self, y, y0, t):
+        ok = accept(self, y, y0, t)
+        refused.append(not ok)
+        return ok
+
+    monkeypatch.setattr(_Window, "accept", counting)
+    cfg = EvolveConfig(t_max=1.0, samples=5, method="rk45", truncation_tol=1e-90, guard_band=4)
+    states = list(evolve(SykLike(1.0, 1.0), cfg))
+    assert sum(refused) >= 3  # 6 measured
+    assert max(abs(s.amplitudes[0] - 1.0 / math.cosh(s.t)) for s in states) < 1e-6
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("method", ["cayley6", "rk45"])
+@pytest.mark.parametrize("b", [1e20, 1e300])
+def test_step_floor_raises_stiffness_error(b, method):
+    # the rule's step (cayley6) or the stability bound 0.5 / b (rk45) is below
+    # 1e-13; at b = 1e300 cayley6's rate overflows and its step is 0
+    start = time.perf_counter()
+    with pytest.raises(StiffnessError) as info:
+        list(evolve(Constant(b), EvolveConfig(t_max=1.0, samples=2, method=method)))
+    assert time.perf_counter() - start < 1.0
+    assert info.value.t == 0.0 and info.value.dt < 1e-13
+    assert str(info.value).count("underflow") == 1
 
 
 def test_window_refuses_step_that_fills_guard_band():
