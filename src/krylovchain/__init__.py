@@ -25,6 +25,7 @@ from .closedforms import (
 from .errors import (
     ArtifactError,
     ConvergenceError,
+    CouplingOverflowError,
     InsufficientDataError,
     InvalidMomentSequenceError,
     KrylovChainError,

@@ -40,6 +40,7 @@ from .config import (
 )
 from .errors import (
     ArtifactError,
+    CouplingOverflowError,
     InvalidMomentSequenceError,
     PrecisionExhaustedError,
     ResourceLimitError,
@@ -101,12 +102,13 @@ def _point_label(index: int, assignment: dict) -> str:
 
 
 def _until_resource_limit(states, errors: list):
-    """Pass states through; on the window cap or the step floor stop and record it in errors."""
+    """Pass states through; on the window cap, the step floor or a non-finite
+    coupling stop and record it in errors."""
     try:
         yield from states
     except ResourceLimitError as exc:
         errors.append(f"resource limit at t={exc.t_reached:.6g}")
-    except StiffnessError as exc:
+    except (StiffnessError, CouplingOverflowError) as exc:
         errors.append(str(exc))
 
 

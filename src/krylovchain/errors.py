@@ -136,6 +136,15 @@ class StiffnessError(KrylovChainError):
         super().__init__(msg)
 
 
+class CouplingOverflowError(KrylovChainError):
+    """A coupling b_n the window needs is not a finite float; `n` names the first such."""
+
+    def __init__(self, n, value):
+        self.n = n
+        self.value = value
+        super().__init__(f"coupling b_{n} = {value} is not finite: the window cannot grow past site {n - 1}")
+
+
 class WindowError(KrylovChainError):
     """Fit window selects too few samples or none at all."""
 

@@ -50,6 +50,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import (
+    CouplingOverflowError,
     NON_NEGATIVE,
     POSITIVE,
     UNIT,
@@ -83,6 +84,7 @@ _COMPOSITIONS = {
     "trapezoidal": ((1.0,), 2),
 }
 METHODS = tuple(_COMPOSITIONS) + ("rk45",)
+_EPS = float(np.finfo(float).eps)
 _TIMES = Rule(
     "non-empty increasing list of numbers >= 0",
     lambda v: v is None
@@ -135,6 +137,8 @@ class EvolveConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.abs_tol + self.rel_tol < _EPS:  # the step rule cannot ask for less
+            raise ParameterError(None, f"expected abs_tol + rel_tol >= {_EPS!r}, the float64 epsilon")
         if self.sample_times is not None:
             object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
             if self.sample_times[-1] > self.t_max:
@@ -176,6 +180,16 @@ def _hop(off: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norm(v: np.ndarray) -> float:
+    """sqrt(sum v^2); where the squares overflow, v is first scaled by a power of two."""
+    with np.errstate(over="ignore"):
+        sq = float(np.sum(v ** 2))
+    if sq < math.inf:
+        return math.sqrt(sq)
+    e = math.frexp(float(np.max(np.abs(v))))[1] - 1
+    return math.sqrt(float(np.sum(np.ldexp(v, -e) ** 2))) * 2.0 ** e
+
+
 def _odd_from_even(cp: np.ndarray, cq: np.ndarray, e: np.ndarray, o: np.ndarray) -> np.ndarray:
     """o + c A_oe e, with (c A_oe e)_j = cp_j e_j - cq_j e_{j+1} on the odd sites."""
     out = cp * e[: len(cp)]
@@ -197,6 +211,12 @@ def _even_from_odd(cp: np.ndarray, cq: np.ndarray, o: np.ndarray, size: int) -> 
 def _grown(n: int, cfg: EvolveConfig) -> int:
     """The window growth rule: the size that follows n sites."""
     return min(math.ceil(1.12 * n) + cfg.guard_band, cfg.max_active_size)
+
+
+def _finite_prefix(b: np.ndarray) -> int:
+    """Length of b up to and including its first non-finite entry."""
+    bad = ~np.isfinite(b)
+    return int(bad.argmax()) + 1 if bad.any() else len(b)
 
 
 def _check_step(t: float, h: float, t_target: float) -> None:
@@ -228,6 +248,11 @@ class _Window:
             if len(self.y) > self.cap:
                 raise ValueError("initial state longer than the window cap")
         self.b = seq.b_array(len(self.y))
+        m = _finite_prefix(self.b)
+        if m < self.n:
+            if initial is not None:
+                raise CouplingOverflowError(m, float(self.b[m - 1]))
+            self.y, self.b = self.y[:m], self.b[:m]
 
     @property
     def n(self) -> int:
@@ -240,13 +265,23 @@ class _Window:
         return float(np.sum(self.y[-g:] ** 2))
 
     def resize(self, new_n: int) -> None:
+        """Grow to new_n sites, or to fewer where a coupling is not finite.
+
+        The window never holds a non-finite coupling: it stops at the site
+        that the first one, b_m, would join to it, and growing past that
+        raises CouplingOverflowError naming b_m.
+        """
         new_n = min(new_n, self.cap)
         if new_n <= self.n:
             return
-        y = np.zeros(new_n)
-        y[: self.n] = self.y
+        if not math.isfinite(self.b[-1]):
+            raise CouplingOverflowError(self.n, float(self.b[-1]))
         # b_1..b_n are kept; only the new tail is evaluated
-        self.b = np.concatenate((self.b, self.seq.b_array(new_n - self.n, start=self.n + 1)))
+        tail = self.seq.b_array(new_n - self.n, start=self.n + 1)
+        tail = tail[: _finite_prefix(tail)]
+        y = np.zeros(self.n + len(tail))
+        y[: self.n] = self.y
+        self.b = np.concatenate((self.b, tail))
         self.y = y
 
     def ensure_headroom(self) -> None:
@@ -336,8 +371,12 @@ class _CayleyStepper:
     stays an exact Cayley factor and the clock is off by at most 1e-12 h
     per step.  Within an interval the clock is start + k h rather than a
     running sum, so the steps of one plan keep one bit-identical length
-    however far t is from 0.  The cache holds the current window size
-    only, one factorization per distinct stage weight.
+    however far t is from 0.  The cache holds one factorization per
+    distinct stage weight, at the current window size.  A window growth
+    keeps it: the leading rows of a tridiagonal LU do not depend on rows
+    added below them, so a set whose c is the stage's own, bit for bit,
+    is extended by factoring the new rows alone (see _factor), and
+    equals a fresh factorization of the grown S.
     """
 
     _SAFETY = 3.0
@@ -348,6 +387,7 @@ class _CayleyStepper:
         self.weights, order = _COMPOSITIONS[cfg.method]
         self._factors = {}  # stage weight -> (c, bands) at window size _factors_n
         self._factors_n = None
+        self._stale, self._stale_n = {}, None  # sets of the last size not yet extended
         tol = cfg.abs_tol + cfg.rel_tol
         inv_const = (order + 1) * 2 ** order / abs(sum(w ** (order + 1) for w in self.weights))
         self._dt_acc_base = (inv_const * tol) ** (1.0 / (order + 1)) / self._SAFETY
@@ -357,33 +397,75 @@ class _CayleyStepper:
 
         bands = (dl, d, du, du2, ipiv): dgttrf's LU bands of S / 2 (padded
         with identity rows up to 3 rows), that is its sub-, main and
-        super-diagonal, its second superdiagonal and its pivots.  S is
-        built from cp_j = c' b_{2j+1} and cq_j = c' b_{2j+2}, which the
-        stage forms again from c' for its products: a cached pair per
-        weight would add N floats of peak memory per weight.  Halving S is
-        exact and folds the stage's factor 2 into the solve.  c' is the
-        cached c when it matches c to rounding.
+        super-diagonal, its second superdiagonal and its pivots.  c' is
+        the cached c when it matches c to rounding.
+
+        After a window growth from k rows of S to more, a set whose c is
+        the stage's own, bit for bit, is extended rather than rebuilt.
+        The LU of a tridiagonal matrix runs top down, and of the old rows
+        only row k-1 changes (its coupling to row k appears, and after an
+        odd window size a term of its diagonal).  So rows 0..k-3 of the
+        old bands are kept and dgttrf runs on rows k-2.., with row k-2 as
+        the elimination left it: dgttrf redoes the one step that reaches
+        row k-1 itself, and the spliced bands equal those of a fresh
+        factorization.  This needs that step to have made no row
+        interchange and the tail to have at least 3 rows; otherwise, and
+        for padded S, S is factored from row 0.
         """
         n = self.w.n
         if n != self._factors_n:
-            self._factors.clear()
-            self._factors_n = n
+            # the sets of the last size wait for their weights, which run
+            # in this same step, and are dropped one by one as they extend
+            self._stale, self._stale_n = self._factors, self._factors_n
+            self._factors, self._factors_n = {}, n
         hit = self._factors.get(weight)
         if hit is not None and abs(c - hit[0]) <= 1e-12 * abs(c):
             return hit
-        off = self.w.b[: n - 1]
-        cp, cq = c * off[0::2], c * off[1::2]
-        d = np.ones(max((n + 1) // 2, 3), dtype=np.longdouble)
-        d[: len(cp)] += np.square(cp, dtype=np.longdouble)
-        d[1 : len(cq) + 1] += np.square(cq, dtype=np.longdouble)
-        d = 0.5 * d.astype(float)
-        s = np.zeros(len(d) - 1)
-        np.multiply(-0.5 * cp[: len(cq)], cq, out=s[: len(cq)])
-        dl, d, du, du2, ipiv, info = lapack.dgttrf(s, d, s)
+        old = self._stale.pop(weight, None)
+        lo = 0
+        if old is not None and old[0] == c:
+            k = (self._stale_n + 1) // 2
+            if k >= 3 and (n + 1) // 2 > k and old[1][4][k - 2] == k - 1:  # ipiv is 1-based
+                lo = k - 2
+        d, s = self._half_s(c, lo)
+        du = s
+        if lo:
+            # row lo as the elimination left it, before its own step
+            d[0] = old[1][1][lo]
+            du = s.copy()
+            du[0] = old[1][2][lo]
+        *bands, info = lapack.dgttrf(s, d, du)
         if info != 0:
             raise RuntimeError(f"dgttrf failed with info={info}")
-        hit = self._factors[weight] = (c, (dl, d, du, du2, ipiv))
+        if lo:
+            bands[4] += lo
+            bands = [np.concatenate((head[:lo], tail)) for head, tail in zip(old[1], bands)]
+        hit = self._factors[weight] = (c, tuple(bands))
         return hit
+
+    def _half_s(self, c: float, lo: int):
+        """Rows lo.. of S / 2 as (d, s): its diagonal and its off-diagonal.
+
+        S is built from cp_j = c b_{2j+1} and cq_j = c b_{2j+2}, which the
+        stage forms again from c for its products: a cached pair per
+        weight would add N floats of peak memory per weight.  The diagonal
+        1 + cp_j^2 + cq_{j-1}^2 is summed in long double and rounded once.
+        Halving S is exact and folds the stage's factor 2 into the solve.
+        For lo = 0, S has at least 3 rows, padded with identity rows.
+        """
+        n = self.w.n
+        off = self.w.b[: n - 1]
+        cp, cq = c * off[2 * lo :: 2], c * off[2 * lo + 1 :: 2]
+        d = np.ones(max((n + 1) // 2, 3) - lo, dtype=np.longdouble)
+        d[: len(cp)] += np.square(cp, dtype=np.longdouble)
+        if lo:
+            d[0] += np.square(c * off[2 * lo - 1], dtype=np.longdouble)
+        d[1 : len(cq) + 1] += np.square(cq, dtype=np.longdouble)
+        s = np.zeros(len(d) - 1)
+        with np.errstate(over="raise"):  # FloatingPointError where (c b)^2 leaves the float range
+            d = 0.5 * d.astype(float)
+            np.multiply(-0.5 * cp[: len(cq)], cq, out=s[: len(cq)])
+        return d, s
 
     def _apply(self, h: float, y: np.ndarray, dy: Optional[np.ndarray] = None) -> np.ndarray:
         """One composed update over step h; dy = A y when the caller has it.
@@ -430,9 +512,7 @@ class _CayleyStepper:
         big = mag > 1e-3 * peak
         lo = max(int(big.argmax()) - 2, 0)
         hi = len(y) - int(big[::-1].argmax()) + 2
-        num = float(np.sqrt(np.sum(dy[lo:hi] ** 2)))
-        den = float(np.sqrt(np.sum(y[lo:hi] ** 2)))
-        return max(num / max(den, 1e-300), 1e-300)
+        return max(_norm(dy[lo:hi]) / max(_norm(y[lo:hi]), 1e-300), 1e-300)
 
     def _pick_dt(self, remaining: float, y: np.ndarray, dy: np.ndarray) -> float:
         """Length of the fewest equal steps over `remaining` that the step rule allows.
@@ -459,7 +539,10 @@ class _CayleyStepper:
             steps = round((t_target - t) / h_rule)
             if steps != m - k:
                 start, k, m, h = t, 0, steps, h_rule
-            y = self._apply(h, y0, dy)
+            try:
+                y = self._apply(h, y0, dy)
+            except FloatingPointError:
+                raise StiffnessError(t, h, "the stage system overflows float64") from None
             del dy  # free it before a window growth allocates
             if self.w.accept(y, y0, t):
                 k += 1
@@ -528,8 +611,10 @@ def evolve(
 
     The initial condition is phi_n(0) = delta_{n0} unless `initial`
     supplies an amplitude vector (used e.g. for reversal checks).  Raises
-    ResourceLimitError when the window would exceed max_active_size and
-    StiffnessError when a step would be shorter than the step floor
+    ResourceLimitError when the window would exceed max_active_size,
+    CouplingOverflowError when it would need a coupling b_n that is not
+    a finite float, and StiffnessError when a Cayley stage system
+    overflows or a step would be shorter than the step floor
     1e-13 max(1, t) at the next sample time t (see _check_step).
     """
     times = cfg.resolve_sample_times()

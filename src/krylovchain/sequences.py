@@ -64,8 +64,7 @@ class LanczosSequence:
 
     def __post_init__(self):
         check_fields(self)
-        with np.errstate(all="ignore"):
-            v = float(self._b_bulk(np.asarray([1.0]))[0])
+        v = float(self._bulk(np.asarray([1.0]))[0])
         if not (v > 0.0 and math.isfinite(v)):
             raise ParameterError(None, f"{type(self).__name__}: b_1 = {v} is not a positive finite value")
 
@@ -84,7 +83,7 @@ class LanczosSequence:
         sup = self.support
         if sup is not None and n > sup:
             raise SupportExceededError(n, sup)
-        return float(self._b_bulk(np.asarray([n], dtype=float))[0])
+        return float(self._bulk(np.asarray([n], dtype=float))[0])
 
     def b_array(self, count: int, start: int = 1) -> np.ndarray:
         """b_start .. b_{start+count-1} as a float array, zero padded beyond finite support."""
@@ -96,8 +95,13 @@ class LanczosSequence:
         hi = count if sup is None else min(count, max(sup - start + 1, 0))
         out = np.zeros(count)
         if hi > 0:
-            out[:hi] = self._b_bulk(np.arange(float(start), start + hi))
+            out[:hi] = self._bulk(np.arange(float(start), start + hi))
         return out
+
+    def _bulk(self, n: np.ndarray) -> np.ndarray:
+        """_b_bulk without numpy's warnings: a b_n past the float range is inf or nan."""
+        with np.errstate(all="ignore"):
+            return self._b_bulk(n)
 
 
 @dataclass(frozen=True)

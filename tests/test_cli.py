@@ -295,6 +295,28 @@ def test_modes_command(tmp_path):
     assert len(report["impulses"]) == 3
 
 
+def test_overflowing_coupling_exit_5_with_partial_results(tmp_path):
+    # b_2 = 2e308 is inf: the t = 0 row is written and the message names b_2
+    doc = {"family": {"kind": "linear", "alpha": 1e308, "gamma": 1}, "evolve": {"t_max": 1, "samples": 2}}
+    out = tmp_path / "out"
+    r = run_cli("evolve", "--config", write_config(tmp_path / "c.json", doc), "--out", str(out))
+    assert r.returncode == 5
+    assert r.stderr == "coupling b_2 = inf is not finite: the window cannot grow past site 1\n"
+    assert (out / "series.csv").read_text().splitlines() == [
+        "t,c_k,s_k,phi0,norm_error,active_size",
+        "0.0,0.0,0.0,1.0,0.0,2",
+    ]
+
+
+def test_tolerances_below_float64_epsilon_exit_2(tmp_path):
+    doc = {"family": {"kind": "constant", "b": 1}, "evolve": {"t_max": 1, "rel_tol": 1e-20, "abs_tol": 1e-20}}
+    r = run_cli("evolve", "--config", write_config(tmp_path / "c.json", doc), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert r.stderr == (
+        "config error at /evolve: expected abs_tol + rel_tol >= 2.220446049250313e-16, the float64 epsilon\n"
+    )
+
+
 def test_resource_limit_exit_5_with_partial_results(tmp_path):
     doc = {
         "family": {"kind": "syk_like", "alpha": 1.0, "eta": 1.0},
@@ -322,6 +344,7 @@ def test_step_floor_exit_5_with_partial_results(tmp_path, b, method):
     r = run_cli("evolve", "--config", write_config(tmp_path / "c.json", doc), "--out", str(out))
     assert r.returncode == 5
     assert r.stderr.count("step size underflow at t=0 ") == 1 and "Traceback" not in r.stderr
+    assert "Warning" not in r.stderr
     assert (out / "series.csv").read_text().splitlines() == [
         "t,c_k,s_k,phi0,norm_error,active_size",
         "0.0,0.0,0.0,1.0,0.0,16",

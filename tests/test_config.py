@@ -323,9 +323,9 @@ def test_accepted_evolve_sections_build(evolve):
 
 # The sections above are accepted together about once in 1,000 draws, so here
 # each key is drawn from values its rule may admit, the extremes included.
-# Tolerances come from a list: one between 1e-90 and 1e-20 is above the step
-# floor but takes 1e4 to 1e13 steps.  t_max <= 2 and max_active_size <= 512
-# keep every run short.
+# Tolerances come from a list, whose pairs summing below float64 epsilon are
+# rejected (between 1e-90 and 1e-20 a run would take 1e4 to 1e13 steps).
+# t_max <= 2 and max_active_size <= 512 keep every run short.
 _admitted = st.floats(0.01, 3.0) | st.sampled_from([5e-324, 1e-300, 1e20, 1e300, 1e308])
 family_sections = st.sampled_from(sorted(k for k in _PARAMS if k != "spectral_model")).flatmap(
     lambda kind: st.fixed_dictionaries({
@@ -354,7 +354,6 @@ run_evolve_sections = st.fixed_dictionaries(
 )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 # the explicit examples run top down, and the first failure ends the test: a
 # run without the step floor raises on the first two and never ends the third
 @settings(DETERMINISTIC, max_examples=150, report_multiple_bugs=False)
@@ -362,6 +361,9 @@ run_evolve_sections = st.fixed_dictionaries(
 @example({"kind": "constant", "b": 1e20}, {"t_max": 1, "samples": 2})
 @example({"kind": "constant", "b": 1e300}, {"t_max": 1, "samples": 2})
 @example({"kind": "constant", "b": 1e20}, {"t_max": 1, "samples": 2, "method": "rk45"})
+# b_2 = inf, and a first step set by b_1 = 1 whose stage system overflows
+@example({"kind": "linear", "alpha": 1e308, "gamma": 1}, {"t_max": 1, "samples": 2})
+@example({"kind": "constant_with_first", "b": 1e300, "b1": 1.0}, {"t_max": 1.0, "max_active_size": 16})
 def test_accepted_configs_evolve_exit_0_2_or_5(family, evolve):
     # the step floor and the window cap end a run with exit 5, never a traceback
     doc = {"family": family, "evolve": evolve}

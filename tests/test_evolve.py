@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,10 @@ import krylovchain
 from krylovchain import (
     Constant,
     ConstantWithFirst,
+    CouplingOverflowError,
     EvolveConfig,
     Explicit,
+    Linear,
     ParameterError,
     PowerLaw,
     ResourceLimitError,
@@ -283,7 +286,7 @@ def test_cayley4_forward_back_round_trip():
     assert np.max(np.abs(y - start)) <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["cayley4", "trapezoidal"])
+@pytest.mark.parametrize("method", ["cayley6", "cayley4", "trapezoidal"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 40, 41])
 def test_stage_matches_dense_cayley(method, n):
     # the half-size even-site solve is the Cayley factor (I - cA)^-1 (I + cA),
@@ -366,6 +369,85 @@ def lapack_calls(monkeypatch):
     counter = _CountingLapack(module.lapack)
     monkeypatch.setattr(module, "lapack", counter)
     return counter.calls
+
+
+# dgttrf pivots (swaps two rows) in no elimination step of the first case; in
+# the second, for two of cayley6's weights, in every step, so those sets are
+# factored from row 0; in the third in the first 6 and 9 steps of two
+# weights, so some extended sets start on a row whose step did not pivot
+# right after one that did
+@pytest.mark.parametrize(
+    "seq,h,pivots",
+    [(PowerLaw(1.0, 0.5), 0.1, False), (SykLike(1.0, 1.0), 3.0, True), (PowerLaw(1.0, 0.5), 6.0, True)],
+)
+def test_factors_extend_across_window_growth(monkeypatch, seq, h, pivots):
+    # after a growth from n0 to n sites, a cached set whose c is the stage's
+    # own is extended: dgttrf runs on rows k - 2.. of the k = ceil(n0 / 2)
+    # old rows, and the bands equal a fresh factorization of the grown S
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    module = importlib.import_module("krylovchain.evolve")
+    lapack, rows = module.lapack, []
+
+    class RowsFactored:
+        dgttrs = staticmethod(lapack.dgttrs)
+
+        @staticmethod
+        def dgttrf(dl, d, du):
+            rows.append(len(d))
+            return lapack.dgttrf(dl, d, du)
+
+    monkeypatch.setattr(module, "lapack", RowsFactored())
+    cfg = EvolveConfig(t_max=1.0)
+    w = _Window(seq, cfg, None)
+    stp = _CayleyStepper(w, cfg)
+    w.y = stp._apply(h, w.y)
+    seen, swapped = set(), False
+    # growths to odd and even sizes, one by a single site that adds no row
+    # (247 -> 248), and one with a new step length (h / 2, 392 -> 395)
+    for grow, hk in zip((1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 1, 144, 3, 2), (h,) * 12 + (h / 2,) * 2):
+        n0, old = w.n, dict(stp._factors)
+        w.resize(n0 + grow)
+        del rows[:]
+        w.y = stp._apply(hk, w.y)
+        k, big = (n0 + 1) // 2, (w.n + 1) // 2
+        want = []
+        for weight in dict.fromkeys(stp.weights):
+            c, bands = old[weight]
+            swapped |= bands[4][k - 2] != k - 1  # ipiv is 1-based
+            extends = big > k and c == 0.5 * weight * hk and bands[4][k - 2] == k - 1
+            want.append(big - (k - 2) if extends else big)
+        assert rows == want
+        seen.update((w.n % 2, r < big) for r in rows)
+        for weight, (c, bands) in stp._factors.items():
+            assert c == 0.5 * weight * hk
+            fresh = _CayleyStepper(w, cfg)._factor(weight, c)[1]
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(bands, fresh))
+    assert seen == {(0, True), (1, True), (0, False), (1, False)}
+    assert swapped == pivots
+
+
+def test_extended_factors_evolve_as_fresh_ones(monkeypatch):
+    # an evolve across many window growths ends on the same bits as one that
+    # factors every stage from scratch; the dyadic sample grid keeps each
+    # interval's step length bit-identical between the two runs
+    from krylovchain.evolve import _CayleyStepper
+
+    cfg = EvolveConfig(t_max=4.0, samples=16, rel_tol=1e-10)
+    seq = SykLike(1.0, 1.5)
+    kept = list(evolve(seq, cfg))
+    apply, sizes = _CayleyStepper._apply, set()
+
+    def uncached(self, h, y, dy=None):
+        self._factors.clear()
+        sizes.add(len(y))
+        return apply(self, h, y, dy)
+
+    monkeypatch.setattr(_CayleyStepper, "_apply", uncached)
+    fresh = list(evolve(seq, cfg))
+    assert len(sizes) >= 21  # 20 growths or more
+    for a, b in zip(kept, fresh):
+        assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
 @pytest.mark.parametrize("method,count", [("cayley4", 23), ("cayley6", 10)])
@@ -562,7 +644,6 @@ def test_rk45_redoes_refused_steps(monkeypatch):
     assert max(abs(s.amplitudes[0] - 1.0 / math.cosh(s.t)) for s in states) < 1e-6
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("method", ["cayley6", "rk45"])
 @pytest.mark.parametrize("b", [1e20, 1e300])
 def test_step_floor_raises_stiffness_error(b, method):
@@ -574,6 +655,65 @@ def test_step_floor_raises_stiffness_error(b, method):
     assert time.perf_counter() - start < 1.0
     assert info.value.t == 0.0 and info.value.dt < 1e-13
     assert str(info.value).count("underflow") == 1
+
+
+def test_window_stops_before_a_coupling_that_overflows():
+    # b_n = 1e306 n leaves the float range at b_180: the window grows to the
+    # 180 sites that b_1..b_179 join, and growing past them names b_180
+    from krylovchain.evolve import _Window
+
+    w = _Window(Linear(1e306, 0.0), EvolveConfig(t_max=1.0), None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w.resize(1000)
+        assert w.n == len(w.b) == 180 and np.isfinite(w.b[:-1]).all() and w.b[-1] == math.inf
+        with pytest.raises(CouplingOverflowError) as info:
+            w.resize(2000)
+    assert info.value.n == 180 and w.n == 180
+    assert str(info.value) == "coupling b_180 = inf is not finite: the window cannot grow past site 179"
+
+
+def test_overflowing_coupling_ends_evolve_after_t0():
+    # b_2 = 2e308 is inf: the first window holds sites 0 and 1, the t = 0
+    # state comes out, and the first growth names b_2, with no numpy warning
+    states = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CouplingOverflowError) as info:
+            for s in evolve(Linear(1e308, 1.0), EvolveConfig(t_max=1.0, samples=2)):
+                states.append(s)
+    assert info.value.n == 2
+    assert [(s.t, s.active_size) for s in states] == [(0.0, 2)]
+
+
+def test_rate_scales_squares_past_the_float_range():
+    # R = ||A y|| / ||y|| over the populated sites is the plain formula, bit
+    # for bit, while the squares stay finite, and scales by a power of two
+    # where they would overflow
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    cfg = EvolveConfig(t_max=1.0)
+    y = np.random.default_rng(3).standard_normal(40)
+    y /= np.linalg.norm(y)
+    for seq in (SykLike(1.0, 1.0), Constant(1e100), Constant(1e300)):
+        w = _Window(seq, cfg, y)
+        dy = rhs(w.state(0.0), seq)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = _CayleyStepper(w, cfg)._rate(y, dy)
+        if seq.b(1) < 1e150:
+            assert r == float(np.sqrt(np.sum(dy ** 2))) / float(np.sqrt(np.sum(y ** 2)))
+        else:
+            assert r == pytest.approx(1e200 * float(np.linalg.norm(dy / 1e200)), rel=1e-15)
+
+
+def test_stage_system_overflow_is_a_stiffness_error():
+    # b_1 = 1 sets the first step, whose S holds (c b_2)^2 ~ 1e594
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError) as info:
+            list(evolve(ConstantWithFirst(1.0, 1e300), EvolveConfig(t_max=1.0, samples=2)))
+    assert info.value.t == 0.0 and "overflows float64" in str(info.value)
 
 
 def test_window_refuses_step_that_fills_guard_band():
@@ -637,6 +777,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EvolveConfig(t_max=1.0, method="verlet")
     assert EvolveConfig(t_max=1.0).method == "cayley6"
+    # below float64 epsilon the step rule's steps shrink without bound
+    eps = np.finfo(float).eps
+    with pytest.raises(ParameterError) as info:
+        EvolveConfig(t_max=1.0, rel_tol=0.5 * eps, abs_tol=0.49 * eps)
+    assert info.value.name is None and "float64 epsilon" in str(info.value)
+    EvolveConfig(t_max=1.0, rel_tol=0.5 * eps, abs_tol=0.5 * eps)
     with pytest.raises(ValueError):
         EvolveConfig(t_max=1.0, sample_times=(0.5, 0.2)).resolve_sample_times()
 
