@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import inspect
 import io
 import json
 import sys
@@ -80,7 +79,7 @@ _EXIT_CODES = {
 
 
 def _load_config(path: str, command: str):
-    """The config document at path and its RunConfig, which holds every section command requires."""
+    """The RunConfig of the config at path, which holds every section command requires."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -91,7 +90,7 @@ def _load_config(path: str, command: str):
     for section in _COMMANDS[command][2] if command in _COMMANDS else ():
         if getattr(cfg, section) is None:
             raise SchemaError(f"/{section}", f"required for {command}")
-    return doc, cfg
+    return cfg
 
 
 def _point_label(index: int, assignment: dict) -> str:
@@ -147,29 +146,21 @@ def _write_manifest(out_dir: Path, written, doc) -> None:
     write_manifest(out_dir, written, doc, generated_at=generated_at)
 
 
-def _keywords(fn, section: dict) -> dict:
-    """The entries of section that name parameters of fn."""
-    params = inspect.signature(fn).parameters
-    return {k: v for k, v in section.items() if k in params}
-
-
 def _cmd_evolve(ns) -> int:
-    doc, cfg = _load_config(ns.config, "evolve")
+    cfg = _load_config(ns.config, "evolve")
     out_dir = _out_dir(ns)
     points = sweep_points(cfg)
     jobs = ns.jobs if ns.jobs is not None else cfg.jobs
-    formats = cfg.output_formats if ns.format is None else (
-        ("csv", "json") if ns.format == "both" else (ns.format,)
-    )
-    tasks = [(doc, str(out_dir), formats, i, pt) for i, pt in enumerate(points)]
+    tasks = [(cfg.raw, str(out_dir), cfg.output.formats, i, pt) for i, pt in enumerate(points)]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all its workers at once, so no more than there are points
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_one_point, tasks))
     else:
         results = [_run_one_point(t) for t in tasks]
     written = [Path(p) for paths, _ in results for p in paths]
     errors = [e for _, errs in results for e in errs]
-    _write_manifest(out_dir, written, doc)
+    _write_manifest(out_dir, written, cfg.raw)
     for p in written:
         print(p)
     if errors:
@@ -179,8 +170,7 @@ def _cmd_evolve(ns) -> int:
 
 
 def _cmd_fit(ns) -> int:
-    doc, cfg = _load_config(ns.config, "fit") if ns.config else ({}, None)
-    fit_cfg = cfg.fit if cfg is not None else {}
+    cfg = _load_config(ns.config, "fit") if ns.config else parse_config({})
     # every series is loaded and fitted before any report is written, so a
     # bad argument leaves no partial artifacts behind
     fits, stems = [], {}
@@ -191,8 +181,8 @@ def _cmd_fit(ns) -> int:
         stems[p.stem] = p
         series = load_series(p)
         try:
-            window = select_window(series, **{"c_min": 50.0, **_keywords(select_window, fit_cfg)})
-            fit = fit_log_relation(series, window, **_keywords(fit_log_relation, fit_cfg))
+            window = select_window(series, cfg.fit.c_min, cfg.fit.c_max, cfg.fit.t_min, cfg.fit.t_max)
+            fit = fit_log_relation(series, window, cfg.fit.include_lnln, cfg.fit.weighting)
         except WindowError as exc:
             raise WindowError(f"{p.name}: {exc}") from None
         fits.append((p, series, fit))
@@ -205,25 +195,23 @@ def _cmd_fit(ns) -> int:
         write_fit_report(report, fit)
         write_fit_plot(plot, series, fit, title=p.stem)
         written += [report, plot]
-        verdict = eta_bound_check(fit, tol=fit_cfg.get("bound_tol", 0.0))
+        verdict = eta_bound_check(fit, tol=cfg.fit.bound_tol)
         if verdict.kind == "violates_bound":
             exit_code = EXIT_BOUND
         print(f"{report} eta_tilde={fit.eta_tilde!r}")
     if ns.config:
-        _write_manifest(out_dir, written, doc)
+        _write_manifest(out_dir, written, cfg.raw)
     return exit_code
 
 
-def _moments_report(section: dict) -> dict:
-    """The report of one moments conversion."""
-    values = section["values"]
-    if section["direction"] == "to_lanczos":
-        arithmetic = section.get("arithmetic", "exact")
-        mseq = MomentSequence.from_values(map(Fraction if arithmetic == "exact" else float, values))
-        count = section.get("count", len(values) - 1)
-        precision = "double" if arithmetic == "double" else "auto"
-        conv = moments_to_lanczos(mseq, count, precision=precision)
-        back = lanczos_to_moments(b_squared=conv.b_squared, count=count)
+def _moments_report(section) -> dict:
+    """The report of the conversion a MomentsSection describes."""
+    if section.direction == "to_lanczos":
+        exact = section.arithmetic == "exact"
+        mseq = MomentSequence.from_values(map(Fraction if exact else float, section.values))
+        precision = "double" if section.arithmetic == "double" else "auto"
+        conv = moments_to_lanczos(mseq, section.count, precision=precision)
+        back = lanczos_to_moments(b_squared=conv.b_squared, count=section.count)
         residual = max(abs(float(a) - float(b)) for a, b in zip(back.entries, mseq.entries))
         return {
             "direction": "to_lanczos",
@@ -234,7 +222,7 @@ def _moments_report(section: dict) -> dict:
             ],
             "round_trip_residual": residual,
         }
-    mseq = lanczos_to_moments(b=values, count=section.get("count", len(values)))
+    mseq = lanczos_to_moments(b=section.values, count=section.count)
     moments = []
     for order, v in enumerate(mseq.entries):  # exact rationals, possibly past float64
         try:
@@ -250,7 +238,7 @@ def _moments_report(section: dict) -> dict:
 
 
 def _cmd_moments(ns) -> int:
-    doc, cfg = _load_config(ns.config, "moments")
+    cfg = _load_config(ns.config, "moments")
     report_path = _out_dir(ns) / "moments_report.json"
     try:
         report = _moments_report(cfg.moments)
@@ -263,8 +251,8 @@ def _cmd_moments(ns) -> int:
 
 
 def _cmd_wnumber(ns) -> int:
-    doc, cfg = _load_config(ns.config, "wnumber")
-    cls = w_number(build_sequence(cfg.family), **cfg.wnumber)
+    cfg = _load_config(ns.config, "wnumber")
+    cls = w_number(build_sequence(cfg.family), depth=cfg.wnumber.depth, tol=cfg.wnumber.tol)
     path = _out_dir(ns) / "wnumber_report.json"
     write_json(path, asdict(cls))
     print(path)
@@ -272,7 +260,7 @@ def _cmd_wnumber(ns) -> int:
 
 
 def _cmd_modes(ns) -> int:
-    doc, cfg = _load_config(ns.config, "modes")
+    cfg = _load_config(ns.config, "modes")
     if cfg.family["kind"] != "explicit":
         raise SchemaError("/family/kind", "modes needs an explicit family")
     md = finite_chain_modes(cfg.family["coefficients"])
@@ -292,6 +280,13 @@ _COMMANDS = {
 }
 
 
+def _jobs(text: str) -> int:
+    """--jobs: an integer >= 1, as the config's jobs."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="krylov-chain",
@@ -305,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True)
         p.set_defaults(fn=fn)
         if name == "evolve":
-            p.add_argument("--jobs", type=int, default=None)
-            p.add_argument("--format", choices=("csv", "json", "both"), default=None)
+            p.add_argument("--jobs", type=_jobs, default=None)
 
     p = sub.add_parser("fit", help="fit S_K = eta ln C_K + c on series artifacts")
     p.add_argument("series", nargs="+", help="series CSV/JSON artifacts")

@@ -4,14 +4,14 @@ Configs are JSON documents validated before any computation starts.
 Validation is strict: unknown keys are rejected, and every error carries
 the JSON-pointer path of the offending entry.
 
-The family and evolve sections are validated by building the sequence
-dataclass or EvolveConfig they describe, so their keys, defaults and
+Every section is validated by building the dataclass it describes: the
+family's sequence, EvolveConfig, or the FitSection, MomentsSection,
+WnumberSection and OutputSection below.  So its keys, defaults and
 admitted values are those of the dataclass fields (see errors.param),
 and a ParameterError becomes a SchemaError at /section/key, or at
-/family when b_1 is at fault.  A spectral_model family builds its
-SpectralModel; its moment problem waits for build_sequence.  The fit,
-moments, wnumber and output sections, which no dataclass holds, are
-checked against the tables below.
+/section when no single key is at fault (b_1 for a family).  A
+spectral_model family builds its SpectralModel; its moment problem
+waits for build_sequence.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .closedforms import SpectralModel, spectral_model_sequence
 from .errors import (
@@ -31,7 +31,9 @@ from .errors import (
     Rule,
     SchemaError,
     at_least,
+    check_fields,
     one_of,
+    param,
 )
 from .evolve import EvolveConfig
 from .sequences import (
@@ -49,7 +51,7 @@ from .sequences import (
     SykLike,
 )
 
-__all__ = ["RunConfig", "parse_config", "build_sequence", "CONFIG_SCHEMA_DOC"]
+__all__ = ["RunConfig", "parse_config", "build_section", "build_sequence", "CONFIG_SCHEMA_DOC"]
 
 _FAMILIES = {
     "linear": Linear,
@@ -77,45 +79,86 @@ _FAMILY_KEYS = {kind: tuple(_params(cls)) for kind, cls in _FAMILIES.items()}
 _FAMILY_KEYS["spectral_model"] = ("nu", "alpha", "omega0", "exact_coefficients")
 _WHOLE = Rule("integer >= 0", lambda v: NON_NEGATIVE.ok(v) and float(v).is_integer())
 
-_FIT_KEYS = {
-    "c_min": (False, POSITIVE),
-    "c_max": (False, POSITIVE),
-    "t_min": (False, NON_NEGATIVE),
-    "t_max": (False, POSITIVE),
-    "include_lnln": (False, Rule("boolean", lambda v: isinstance(v, bool))),
-    "weighting": (False, one_of("logc", "time")),
-    "bound_tol": (False, NON_NEGATIVE),
-}
 
-_MOMENTS_KEYS = {
-    "direction": (True, one_of("to_lanczos", "to_moments")),
-    "values": (
-        True,
-        Rule(
-            "non-empty list of numbers",
-            lambda v: isinstance(v, list) and len(v) >= 1 and all(map(NUMBER.ok, v)),
-        ),
-    ),
-    "count": (False, at_least(0)),
-    "arithmetic": (False, one_of("exact", "float", "double")),
-}
+def _or_none(rule: Rule) -> Rule:
+    """rule, admitting also the default None (a JSON null never reaches it: see _from_fields)."""
+    return Rule(rule.want, lambda v: v is None or rule.ok(v))
 
-_WNUMBER_KEYS = {
-    "depth": (False, at_least(2)),
-    "tol": (False, UNIT),
-}
 
-_OUTPUT_KEYS = {
-    "formats": (
-        False,
-        Rule(
-            "list drawn from ['csv', 'json']",
-            lambda v: isinstance(v, list) and len(v) >= 1 and all(x in ("csv", "json") for x in v),
-        ),
-    ),
-}
+class _Checked:
+    """A dataclass whose fields must satisfy their rules."""
 
-_TOP_KEYS = ("family", "evolve", "fit", "moments", "wnumber", "output", "sweep", "jobs")
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
+class FitSection(_Checked):
+    """The window that `fit` selects, its regression and the slope bound's tolerance."""
+
+    c_min: float = param(POSITIVE, 50.0)
+    c_max: Optional[float] = param(_or_none(POSITIVE), None)
+    t_min: Optional[float] = param(_or_none(NON_NEGATIVE), None)
+    t_max: Optional[float] = param(_or_none(POSITIVE), None)
+    include_lnln: bool = param(Rule("boolean", lambda v: isinstance(v, bool)), False)
+    weighting: str = param(one_of("logc", "time"), "logc")
+    bound_tol: float = param(NON_NEGATIVE, 0.0)
+
+
+@dataclass(frozen=True)
+class MomentsSection(_Checked):
+    """One moments <-> coefficients conversion; count None is the natural maximum."""
+
+    direction: str = param(one_of("to_lanczos", "to_moments"))
+    values: Tuple[float, ...] = param(Rule(
+        "non-empty list of numbers",
+        lambda v: isinstance(v, (list, tuple)) and len(v) >= 1 and all(map(NUMBER.ok, v)),
+    ))
+    count: Optional[int] = param(_or_none(at_least(0)), None)
+    arithmetic: Optional[str] = param(_or_none(one_of("exact", "float", "double")), None)
+
+    def __post_init__(self):
+        super().__post_init__()
+        n = len(self.values)
+        if self.direction == "to_moments" and self.arithmetic is not None:
+            raise ParameterError("arithmetic", "applies to to_lanczos only")  # exact whatever the input
+        if self.direction == "to_lanczos":
+            if self.values[0] != 1:
+                raise ParameterError("values", f"mu_0 must be 1, got {self.values[0]!r}")
+            n -= 1  # one coefficient at most per moment past mu_0
+            if self.count is not None and self.count > n:
+                raise ParameterError("count", f"at most {n} coefficients from {n + 1} moments")
+        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "count", n if self.count is None else self.count)
+        object.__setattr__(self, "arithmetic", self.arithmetic or "exact")
+
+
+@dataclass(frozen=True)
+class WnumberSection(_Checked):
+    """The continued-fraction depth and agreement tolerance of w_number."""
+
+    depth: int = param(at_least(2), 20000)
+    tol: float = param(UNIT, 1e-7)
+
+
+@dataclass(frozen=True)
+class OutputSection(_Checked):
+    """The series formats that evolve writes."""
+
+    formats: Tuple[str, ...] = param(Rule(
+        "list drawn from ['csv', 'json']",
+        lambda v: isinstance(v, (list, tuple)) and len(v) >= 1 and all(x in ("csv", "json") for x in v),
+    ), ("csv", "json"))
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "formats", tuple(self.formats))
+
+
+# the sections built by build_section, in validation order; family is keyed by its kind
+_SECTIONS = {"evolve": EvolveConfig, "fit": FitSection, "moments": MomentsSection,
+             "wnumber": WnumberSection, "output": OutputSection}
+_TOP_KEYS = ("family", *_SECTIONS, "sweep", "jobs")
 
 
 @dataclass
@@ -123,12 +166,12 @@ class RunConfig:
     """Validated run configuration."""
 
     raw: Dict[str, Any]
-    family: Optional[Dict[str, Any]] = None
-    evolve: Optional[Dict[str, Any]] = None
-    fit: Dict[str, Any] = field(default_factory=dict)
-    moments: Optional[Dict[str, Any]] = None
-    wnumber: Dict[str, Any] = field(default_factory=dict)
-    output_formats: tuple = ("csv", "json")
+    family: Optional[Dict[str, Any]] = None  # family and evolve stay dicts: a
+    evolve: Optional[Dict[str, Any]] = None  # sweep point rebuilds them
+    fit: FitSection = field(default_factory=FitSection)
+    moments: Optional[MomentsSection] = None
+    wnumber: WnumberSection = field(default_factory=WnumberSection)
+    output: OutputSection = field(default_factory=OutputSection)
     sweep: Dict[str, List[Any]] = field(default_factory=dict)
     jobs: int = 1
 
@@ -153,14 +196,6 @@ def _errors_at(pointer: str, section: Dict[str, Any]):
         raise SchemaError(
             f"{pointer}/{key}", exc.detail if key in section else "required key missing"
         ) from None
-
-
-def _check_section(section: Any, schema: Dict[str, tuple], pointer: str):
-    _check_keys(section, schema, pointer)
-    with _errors_at(pointer, section):
-        for key, (required, rule) in schema.items():
-            if required or key in section:
-                rule.check(key, section.get(key))
 
 
 _NULL = object()  # stands for JSON null and for a missing required key; no rule admits it
@@ -206,51 +241,27 @@ def _check_family(section: Any):
     if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
         raise SchemaError("/family/kind", f"unknown family; known: {sorted(_FAMILY_KEYS)}")
     _check_keys(section, ("kind", *_FAMILY_KEYS[kind]), "/family")
-    _family(section)
+    return _family(section)
 
 
-_SECTION_KEYS = {
-    "fit": _FIT_KEYS,
-    "moments": _MOMENTS_KEYS,
-    "wnumber": _WNUMBER_KEYS,
-    "output": _OUTPUT_KEYS,
-}
+def build_section(head: str, section: Any):
+    """The dataclass of config section `head` (any but family), built from section."""
+    cls = _SECTIONS[head]
+    _check_keys(section, _params(cls), f"/{head}")
+    with _errors_at(f"/{head}", section):
+        return _from_fields(cls, section)
+
+
 _SWEPT = ("family", "evolve")  # the sections a sweep point's evolve reads
-_SECTION_FIELDS = ("family", "evolve", "fit", "moments", "wnumber")  # RunConfig fields
 
 
-def _check_sections(doc: Dict[str, Any], heads):
-    """Validate, in order, the sections named in `heads` that doc has."""
-    for head in heads:
-        if head not in doc:
-            continue
-        if head == "family":
-            _check_family(doc[head])
-        elif head == "evolve":
-            _check_keys(doc[head], _params(EvolveConfig), "/evolve")
-            build_evolve_config(doc[head])
-        else:
-            _check_section(doc[head], _SECTION_KEYS[head], f"/{head}")
-            if head == "moments":
-                _check_moments(doc[head])
-
-
-def _check_moments(section: Dict[str, Any]):
-    """to_lanczos: mu_0 = 1, and one coefficient at most per moment past mu_0.
-
-    to_moments is exact whatever the input, so it takes no arithmetic.
-    """
-    if section["direction"] == "to_moments":
-        if "arithmetic" in section:
-            raise SchemaError("/moments/arithmetic", "applies to to_lanczos only")
-        return
-    values = section["values"]
-    if values[0] != 1:
-        raise SchemaError("/moments/values", f"mu_0 must be 1, got {values[0]!r}")
-    if section.get("count", 0) > len(values) - 1:
-        raise SchemaError(
-            "/moments/count", f"at most {len(values) - 1} coefficients from {len(values)} moments"
-        )
+def _check_sections(doc: Dict[str, Any], heads) -> Dict[str, Any]:
+    """Validate, in order, the sections named in `heads` that doc has; {head: its dataclass}."""
+    return {
+        head: _check_family(doc[head]) if head == "family" else build_section(head, doc[head])
+        for head in heads
+        if head in doc
+    }
 
 
 def _check_sweep_points(cfg: RunConfig):
@@ -273,10 +284,8 @@ def _check_sweep_points(cfg: RunConfig):
 def parse_config(document: Any) -> RunConfig:
     """Validate a config document; raises SchemaError with a JSON pointer."""
     _check_keys(document, _TOP_KEYS, "")
-    _check_sections(document, ("family", "evolve", *_SECTION_KEYS))
-    cfg = RunConfig(raw=document, **{h: document[h] for h in _SECTION_FIELDS if h in document})
-    if "output" in document:
-        cfg.output_formats = tuple(document["output"].get("formats", ["csv", "json"]))
+    built = _check_sections(document, ("family", *_SECTIONS))
+    cfg = RunConfig(raw=document, **{h: document[h] if h in _SWEPT else v for h, v in built.items()})
     if "sweep" in document:
         sweep = document["sweep"]
         if not isinstance(sweep, dict):
@@ -330,8 +339,7 @@ def build_sequence(family: Dict[str, Any]) -> LanczosSequence:
 
 
 def build_evolve_config(evolve_section: Dict[str, Any]) -> EvolveConfig:
-    with _errors_at("/evolve", evolve_section):
-        return _from_fields(EvolveConfig, evolve_section)
+    return build_section("evolve", evolve_section)
 
 
 CONFIG_SCHEMA_DOC = {
@@ -339,11 +347,7 @@ CONFIG_SCHEMA_DOC = {
         "kind": sorted(_FAMILY_KEYS),
         "params": {k: sorted(v) for k, v in _FAMILY_KEYS.items()},
     },
-    "evolve": sorted(_params(EvolveConfig)),
-    "fit": sorted(_FIT_KEYS),
-    "moments": sorted(_MOMENTS_KEYS),
-    "wnumber": sorted(_WNUMBER_KEYS),
-    "output": sorted(_OUTPUT_KEYS),
+    **{head: sorted(_params(cls)) for head, cls in _SECTIONS.items()},
     "sweep": "object mapping dotted axis paths (family.*, evolve.*) to value lists",
     "jobs": "integer >= 1",
 }

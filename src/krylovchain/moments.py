@@ -212,7 +212,8 @@ def lanczos_to_moments(
     paths of length 2n (Flajolet 1980).  Only the sites a path can occupy
     are visited: at power p, site i is reachable when i <= p and
     i = p (mod 2), and it still counts when i <= 2*count - p, so that the
-    path can return to site 0 by step 2*count.  All inputs are transported
+    path can return to site 0 by step 2*count, and when i <= len(b): the
+    zero coupling past the last given one ends every path.  All inputs are transported
     exactly (binary floats are exact rationals), and the result is exact
     in b^2: this direction is benign, and keeping it lossless is what
     lets the ill-conditioned inverse direction round trip.
@@ -234,12 +235,13 @@ def lanczos_to_moments(
     # similarity-transformed operator: sub-diagonal 1, super-diagonal b^2,
     # so powers stay rational in b^2; v[i] is the (i, 0) entry of the p-th
     # power, updated in place because power p writes only sites i = p mod 2
+    sites = min(len(sq), count)
     sq = sq[:count] + [zero] * (count - len(sq))
     v = [zero] * (count + 1)
     v[0] = Fraction(1)
     entries = [v[0]]
     for p in range(1, 2 * count + 1):
-        for i in range(p % 2, min(p, 2 * count - p) + 1, 2):
+        for i in range(p % 2, min(p, 2 * count - p, sites) + 1, 2):
             if i == p:  # first visit: the right neighbour is still zero
                 v[i] = v[i - 1]
             elif i == 0:

@@ -535,3 +535,71 @@ def test_moments_config_exit_codes(tmp_path, moments, code, fragment):
     if code == 4:  # the same report an invalid sequence gets
         report = json.loads((tmp_path / "m" / "moments_report.json").read_text())
         assert set(report) == {"error", "failing_order"}
+
+
+def _reports(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def test_fit_and_wnumber_defaults_are_declared_once(tmp_path, capsys):
+    # leaving a section out, giving it empty and spelling out its defaults
+    # are one and the same run
+    cfg = write_config(tmp_path / "c.json", {**BASE_EVOLVE, "evolve": {"t_max": 5.3, "samples": 100}})
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    series = str(tmp_path / "s" / "series.json")
+    runs = []
+    for name, section in (
+        (None, None), ("empty", {}), ("spelled", {"c_min": 50, "bound_tol": 0, "weighting": "logc"})
+    ):
+        args = ["fit", series, "--out", str(tmp_path / f"fit_{name}")]
+        if name is not None:
+            args += ["--config", write_config(tmp_path / f"{name}.json", {"fit": section})]
+        runs.append((cli.main(args), _reports(tmp_path / f"fit_{name}")))
+    assert runs[0][1] and runs[1] == runs[0] and runs[2] == runs[0]
+    family = BASE_EVOLVE["family"]
+    reports = []
+    for name, section in (("empty", {}), ("spelled", {"depth": 20000, "tol": 1e-7})):
+        cfg = write_config(tmp_path / f"w_{name}.json", {"family": family, "wnumber": section})
+        assert cli.main(["wnumber", "--config", cfg, "--out", str(tmp_path / f"w_{name}")]) == 0
+        reports.append(_reports(tmp_path / f"w_{name}"))
+    assert reports[0] and reports[1] == reports[0]
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records each max_workers and maps in this process."""
+
+    def __init__(self):
+        self.max_workers = []
+
+    def __call__(self, max_workers):
+        self.max_workers.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch, capsys):
+    pool = _SerialPool()
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    doc = {**BASE_EVOLVE, "evolve": {"t_max": 0.5, "samples": 4}, "sweep": {"family.eta": [0.5, 1.0, 2.0]}}
+    cfg = write_config(tmp_path / "c.json", doc)
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "100000"]) == 0
+    assert pool.max_workers == [3]
+    assert len(list((tmp_path / "o").glob("series_*.json"))) == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_flag_below_one_exit_2(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "c.json", BASE_EVOLVE)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert info.value.code == 2
+    assert "expected integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -217,7 +217,7 @@ def test_moments_section():
     cfg = parse_config(
         {"moments": {"direction": "to_lanczos", "values": [1, 1, 2], "count": 2}}
     )
-    assert cfg.moments["direction"] == "to_lanczos"
+    assert cfg.moments.direction == "to_lanczos"
     with pytest.raises(SchemaError):
         parse_config({"moments": {"direction": "sideways", "values": [1]}})
 
@@ -250,8 +250,9 @@ def test_schema_doc_tables_match_the_schema():
 
     family = {kind.strip(" `"): sorted(re.findall(r"`(\w+)`", params)) for kind, params in rows("family")}
     assert family == CONFIG_SCHEMA_DOC["family"]["params"]
-    evolve = sorted(name for keys, _ in rows("evolve") for name in re.findall(r"`(\w+)`", keys))
-    assert evolve == CONFIG_SCHEMA_DOC["evolve"]
+    for section in ("evolve", "fit", "moments", "wnumber", "output"):
+        keys = sorted(name for keys, _ in rows(section) for name in re.findall(r"`(\w+)`", keys))
+        assert keys == CONFIG_SCHEMA_DOC[section], section
 
 
 DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)

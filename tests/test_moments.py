@@ -1,6 +1,7 @@
 """Moment <-> coefficient transformations and the Hankel oracle."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,15 @@ def test_insufficient_entries():
     m = MomentSequence.from_values([1, 1, 2])
     with pytest.raises(InsufficientDataError):
         moments_to_lanczos(m, 3)
+
+
+def test_moments_visit_only_the_chains_sites():
+    # b_2 = 0 ends every path at site 1, so 20,000 moments take 40,000 site
+    # updates rather than the 4e8 of the full triangle of sites
+    start = time.perf_counter()
+    m = lanczos_to_moments(b=[1.0], count=20_000)
+    assert time.perf_counter() - start < 2.0
+    assert m.entries == (Fraction(1),) * 20_001
 
 
 # ---------------------------------------------------------------------------
