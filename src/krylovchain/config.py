@@ -35,6 +35,7 @@ from .errors import (
     one_of,
     param,
 )
+from . import fitting, wnumber
 from .evolve import EvolveConfig
 from .sequences import (
     Constant,
@@ -96,12 +97,12 @@ class _Checked:
 class FitSection(_Checked):
     """The window that `fit` selects, its regression and the slope bound's tolerance."""
 
-    c_min: float = param(POSITIVE, 50.0)
+    c_min: float = param(POSITIVE, fitting.C_MIN)
     c_max: Optional[float] = param(_or_none(POSITIVE), None)
     t_min: Optional[float] = param(_or_none(NON_NEGATIVE), None)
     t_max: Optional[float] = param(_or_none(POSITIVE), None)
     include_lnln: bool = param(Rule("boolean", lambda v: isinstance(v, bool)), False)
-    weighting: str = param(one_of("logc", "time"), "logc")
+    weighting: str = param(one_of(*fitting.WEIGHTINGS), fitting.WEIGHTING)
     bound_tol: float = param(NON_NEGATIVE, 0.0)
 
 
@@ -137,8 +138,8 @@ class MomentsSection(_Checked):
 class WnumberSection(_Checked):
     """The continued-fraction depth and agreement tolerance of w_number."""
 
-    depth: int = param(at_least(2), 20000)
-    tol: float = param(UNIT, 1e-7)
+    depth: int = param(at_least(2), wnumber.DEPTH)
+    tol: float = param(UNIT, wnumber.TOL)
 
 
 @dataclass(frozen=True)

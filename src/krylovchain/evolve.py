@@ -6,11 +6,19 @@ The amplitudes phi_0..phi_{N-1} obey the hopping system
     phi_n(0) = delta_{n0},  b_0 = 0,
 
 whose generator is antisymmetric, so the exact flow conserves
-sum phi_n^2.  The active window [0, N) is finite and grows on demand by
-one rule, to ceil(1.12 N) + guard_band sites: before a step when the
-trailing guard band holds more than 1 % of the truncation tolerance, and
-after a step whose guard band holds more than the tolerance, which is
-then redone on the grown window.
+sum phi_n^2.  The active window [lo, N) is finite.  Its front grows on
+demand by one rule, to ceil(1.12 N) + guard_band sites: before a step
+when the trailing guard band holds more than 1 % of the truncation
+tolerance, and after a step whose guard band holds more than the
+tolerance, which is then redone on the grown window.  Its back follows a
+packet that moves away from the origin: after a step whose leading
+guard band holds at most 1 % of the tolerance, the longest leading run
+of at most that mass is dropped but for guard_band sites of it, when at
+least a quarter of the window goes and 64 sites or more stay.  A leading
+guard band mirrors the trailing one, so a packet that comes back grows
+the back by ceil(1.12 m) + guard_band - m sites for a window of m sites,
+before a step or by refusing and redoing one.  Sites below lo are zero
+in every WaveState, and the dropped mass shows in its norm_error.
 
 Two stepper families are provided (METHODS names them):
 
@@ -209,8 +217,8 @@ def _even_from_odd(cp: np.ndarray, cq: np.ndarray, o: np.ndarray, size: int) -> 
 
 
 def _grown(n: int, cfg: EvolveConfig) -> int:
-    """The window growth rule: the size that follows n sites."""
-    return min(math.ceil(1.12 * n) + cfg.guard_band, cfg.max_active_size)
+    """The window growth rule: the size that follows n sites, before any cap."""
+    return math.ceil(1.12 * n) + cfg.guard_band
 
 
 def _finite_prefix(b: np.ndarray) -> int:
@@ -228,15 +236,21 @@ def _check_step(t: float, h: float, t_target: float) -> None:
 def active_window_policy(state: WaveState, cfg: EvolveConfig) -> int:
     """Next window size: unchanged unless the guard band carries too much mass."""
     n = state.active_size
-    return n if state.tail_mass <= cfg.truncation_tol else _grown(n, cfg)
+    return n if state.tail_mass <= cfg.truncation_tol else min(_grown(n, cfg), cfg.max_active_size)
 
 
 class _Window:
-    """Active window bookkeeping shared by both steppers."""
+    """Active window [lo, n) bookkeeping shared by both steppers.
+
+    y holds phi_lo..phi_{n-1}; b holds b_1..b_n from site 0 on, so the
+    back edge moves without evaluating couplings again, and `off` is the
+    couplings b_{lo+1}..b_{n-1} inside the window.
+    """
 
     def __init__(self, seq: LanczosSequence, cfg: EvolveConfig, initial: Optional[np.ndarray]):
         self.seq = seq
         self.cfg = cfg
+        self.lo = 0
         sup = seq.support
         self.cap = cfg.max_active_size if sup is None else min(sup + 1, cfg.max_active_size)
         if initial is None:
@@ -256,13 +270,20 @@ class _Window:
 
     @property
     def n(self) -> int:
-        return len(self.y)
+        return self.lo + len(self.y)
+
+    @property
+    def off(self) -> np.ndarray:
+        return self.b[self.lo : self.n - 1]
 
     def tail_mass(self) -> float:
         if self.b[-1] == 0.0:
             return 0.0  # no coupling leaves the window: nothing is truncated
-        g = min(self.cfg.guard_band, self.n)
-        return float(np.sum(self.y[-g:] ** 2))
+        return float(np.sum(self.y[-self.cfg.guard_band :] ** 2))
+
+    def head_mass(self) -> float:
+        """The squared mass in the leading guard band; 0 at lo = 0, where b_0 = 0 holds it in."""
+        return float(np.sum(self.y[: self.cfg.guard_band] ** 2)) if self.lo else 0.0
 
     def resize(self, new_n: int) -> None:
         """Grow to new_n sites, or to fewer where a coupling is not finite.
@@ -279,39 +300,76 @@ class _Window:
         # b_1..b_n are kept; only the new tail is evaluated
         tail = self.seq.b_array(new_n - self.n, start=self.n + 1)
         tail = tail[: _finite_prefix(tail)]
-        y = np.zeros(self.n + len(tail))
-        y[: self.n] = self.y
+        y = np.zeros(len(self.y) + len(tail))
+        y[: len(self.y)] = self.y
         self.b = np.concatenate((self.b, tail))
         self.y = y
 
+    def grow_back(self) -> None:
+        """Move lo back by the growth rule's step for the window's size, but not past 0."""
+        m = len(self.y)
+        lo = max(self.lo - (_grown(m, self.cfg) - m), 0)
+        self.y = np.concatenate((np.zeros(self.lo - lo), self.y))
+        self.lo = lo
+
+    def trim(self) -> None:
+        """Drop the leading sites the packet has left behind.
+
+        Nothing happens unless the leading guard band holds at most 1 % of
+        truncation_tol, so a packet that still covers the first sites costs
+        one guard band's sum.  Otherwise the longest leading run of at most
+        that mass goes, but for guard_band sites of it, provided at least a
+        quarter of the window goes and 64 sites or more stay: each change of
+        lo refactors every stage.
+        """
+        g, keep, m = self.cfg.guard_band, 0.01 * self.cfg.truncation_tol, len(self.y)
+        quarter = -(-m // 4)
+        if (m - quarter < 64 or float(np.sum(self.y[:g] ** 2)) > keep
+                or float(np.sum(self.y[: quarter + g] ** 2)) > keep):
+            return
+        run = int(np.searchsorted(np.cumsum(self.y ** 2), keep, side="right"))
+        cut = min(run - g, m - 64)
+        self.y = self.y[cut:]
+        self.lo += cut
+
     def ensure_headroom(self) -> None:
-        """Grow ahead of the front so steps rarely need redoing."""
+        """Grow ahead of the front, and behind the back, so steps rarely need redoing."""
         if self.tail_mass() > 0.01 * self.cfg.truncation_tol:
             self.resize(_grown(self.n, self.cfg))
+        if self.head_mass() > 0.01 * self.cfg.truncation_tol:
+            self.grow_back()
 
     def accept(self, y: np.ndarray, y0: np.ndarray, t: float) -> bool:
-        """Take the step y from y0 at t unless its guard band holds more than truncation_tol.
+        """Take the step y from y0 at t unless a guard band holds more than truncation_tol.
 
-        A refused step grows the window and puts back y0, zero-padded, so
-        the caller redoes it; at the cap it raises ResourceLimitError
+        An accepted step may trim the back (see trim).  A refused step puts
+        back y0 and grows the window at each overfull edge, zero-padded, so
+        the caller redoes it; a front at the cap raises ResourceLimitError
         reporting t.
         """
         self.y = y
-        if self.tail_mass() <= self.cfg.truncation_tol:
+        front = self.tail_mass() > self.cfg.truncation_tol
+        back = self.head_mass() > self.cfg.truncation_tol
+        if not (front or back):
+            self.trim()
             return True
-        if self.n >= self.cap:
+        if front and self.n >= self.cap:
             raise ResourceLimitError(t, self.cfg.max_active_size)
         self.y = y0
-        self.resize(_grown(self.n, self.cfg))
+        if back:
+            self.grow_back()
+        if front:
+            self.resize(_grown(self.n, self.cfg))
         return False
 
     def state(self, t: float) -> WaveState:
-        norm_err = abs(float(np.sum(self.y ** 2)) - 1.0)
+        amplitudes = np.zeros(self.n)
+        amplitudes[self.lo :] = self.y
         return WaveState(
             t=t,
-            amplitudes=self.y.copy(),
+            amplitudes=amplitudes,
             active_size=self.n,
-            norm_error=norm_err,
+            norm_error=abs(float(np.sum(self.y ** 2)) - 1.0),
             tail_mass=self.tail_mass(),
         )
 
@@ -372,11 +430,13 @@ class _CayleyStepper:
     per step.  Within an interval the clock is start + k h rather than a
     running sum, so the steps of one plan keep one bit-identical length
     however far t is from 0.  The cache holds one factorization per
-    distinct stage weight, at the current window size.  A window growth
-    keeps it: the leading rows of a tridiagonal LU do not depend on rows
-    added below them, so a set whose c is the stage's own, bit for bit,
-    is extended by factoring the new rows alone (see _factor), and
-    equals a fresh factorization of the grown S.
+    distinct stage weight, on the current window [lo, n).  A growth of the
+    front keeps it: the leading rows of a tridiagonal LU do not depend on
+    rows added below them, so a set whose c is the stage's own, bit for
+    bit, is extended by factoring the new rows alone (see _factor), and
+    equals a fresh factorization of the grown S.  A move of the back, by
+    a trim or a growth, changes the leading rows, so every stage is then
+    factored from row 0.
     """
 
     _SAFETY = 3.0
@@ -385,9 +445,9 @@ class _CayleyStepper:
         self.w = window
         self.cfg = cfg
         self.weights, order = _COMPOSITIONS[cfg.method]
-        self._factors = {}  # stage weight -> (c, bands) at window size _factors_n
-        self._factors_n = None
-        self._stale, self._stale_n = {}, None  # sets of the last size not yet extended
+        self._factors = {}  # stage weight -> (c, bands) on the window (lo, n) _factors_at
+        self._factors_at = None
+        self._stale, self._stale_at = {}, None  # sets of the last window not yet extended
         tol = cfg.abs_tol + cfg.rel_tol
         inv_const = (order + 1) * 2 ** order / abs(sum(w ** (order + 1) for w in self.weights))
         self._dt_acc_base = (inv_const * tol) ** (1.0 / (order + 1)) / self._SAFETY
@@ -400,66 +460,66 @@ class _CayleyStepper:
         super-diagonal, its second superdiagonal and its pivots.  c' is
         the cached c when it matches c to rounding.
 
-        After a window growth from k rows of S to more, a set whose c is
-        the stage's own, bit for bit, is extended rather than rebuilt.
-        The LU of a tridiagonal matrix runs top down, and of the old rows
-        only row k-1 changes (its coupling to row k appears, and after an
-        odd window size a term of its diagonal).  So rows 0..k-3 of the
-        old bands are kept and dgttrf runs on rows k-2.., with row k-2 as
-        the elimination left it: dgttrf redoes the one step that reaches
-        row k-1 itself, and the spliced bands equal those of a fresh
-        factorization.  This needs that step to have made no row
-        interchange and the tail to have at least 3 rows; otherwise, and
-        for padded S, S is factored from row 0.
+        After a growth of the front from k rows of S to more, with lo
+        unchanged, a set whose c is the stage's own, bit for bit, is
+        extended rather than rebuilt.  The LU of a tridiagonal matrix runs
+        top down, and of the old rows only row k-1 changes (its coupling to
+        row k appears, and after an odd window size a term of its
+        diagonal).  So rows 0..k-3 of the old bands are kept and dgttrf
+        runs on rows k-2.., with row k-2 as the elimination left it: dgttrf
+        redoes the one step that reaches row k-1 itself, and the spliced
+        bands equal those of a fresh factorization.  This needs that step
+        to have made no row interchange and the tail to have at least 3
+        rows; otherwise, for padded S and after any move of lo, S is
+        factored from row 0.
         """
-        n = self.w.n
-        if n != self._factors_n:
-            # the sets of the last size wait for their weights, which run
+        lo, n = self.w.lo, self.w.n
+        if (lo, n) != self._factors_at:
+            # the sets of the last window wait for their weights, which run
             # in this same step, and are dropped one by one as they extend
-            self._stale, self._stale_n = self._factors, self._factors_n
-            self._factors, self._factors_n = {}, n
+            self._stale, self._stale_at = self._factors, self._factors_at
+            self._factors, self._factors_at = {}, (lo, n)
         hit = self._factors.get(weight)
         if hit is not None and abs(c - hit[0]) <= 1e-12 * abs(c):
             return hit
         old = self._stale.pop(weight, None)
-        lo = 0
-        if old is not None and old[0] == c:
-            k = (self._stale_n + 1) // 2
-            if k >= 3 and (n + 1) // 2 > k and old[1][4][k - 2] == k - 1:  # ipiv is 1-based
-                lo = k - 2
-        d, s = self._half_s(c, lo)
+        row = 0
+        if old is not None and old[0] == c and self._stale_at[0] == lo:
+            k = (self._stale_at[1] - lo + 1) // 2
+            if k >= 3 and (n - lo + 1) // 2 > k and old[1][4][k - 2] == k - 1:  # ipiv is 1-based
+                row = k - 2
+        d, s = self._half_s(c, row)
         du = s
-        if lo:
-            # row lo as the elimination left it, before its own step
-            d[0] = old[1][1][lo]
+        if row:
+            # the row as the elimination left it, before its own step
+            d[0] = old[1][1][row]
             du = s.copy()
-            du[0] = old[1][2][lo]
+            du[0] = old[1][2][row]
         *bands, info = lapack.dgttrf(s, d, du)
         if info != 0:
             raise RuntimeError(f"dgttrf failed with info={info}")
-        if lo:
-            bands[4] += lo
-            bands = [np.concatenate((head[:lo], tail)) for head, tail in zip(old[1], bands)]
+        if row:
+            bands[4] += row
+            bands = [np.concatenate((head[:row], tail)) for head, tail in zip(old[1], bands)]
         hit = self._factors[weight] = (c, tuple(bands))
         return hit
 
-    def _half_s(self, c: float, lo: int):
-        """Rows lo.. of S / 2 as (d, s): its diagonal and its off-diagonal.
+    def _half_s(self, c: float, row: int):
+        """Rows row.. of S / 2 as (d, s): its diagonal and its off-diagonal.
 
         S is built from cp_j = c b_{2j+1} and cq_j = c b_{2j+2}, which the
         stage forms again from c for its products: a cached pair per
         weight would add N floats of peak memory per weight.  The diagonal
         1 + cp_j^2 + cq_{j-1}^2 is summed in long double and rounded once.
         Halving S is exact and folds the stage's factor 2 into the solve.
-        For lo = 0, S has at least 3 rows, padded with identity rows.
+        From row 0, S has at least 3 rows, padded with identity rows.
         """
-        n = self.w.n
-        off = self.w.b[: n - 1]
-        cp, cq = c * off[2 * lo :: 2], c * off[2 * lo + 1 :: 2]
-        d = np.ones(max((n + 1) // 2, 3) - lo, dtype=np.longdouble)
+        off = self.w.off
+        cp, cq = c * off[2 * row :: 2], c * off[2 * row + 1 :: 2]
+        d = np.ones(max((len(off) + 2) // 2, 3) - row, dtype=np.longdouble)
         d[: len(cp)] += np.square(cp, dtype=np.longdouble)
-        if lo:
-            d[0] += np.square(c * off[2 * lo - 1], dtype=np.longdouble)
+        if row:
+            d[0] += np.square(c * off[2 * row - 1], dtype=np.longdouble)
         d[1 : len(cq) + 1] += np.square(cq, dtype=np.longdouble)
         s = np.zeros(len(d) - 1)
         with np.errstate(over="raise"):  # FloatingPointError where (c b)^2 leaves the float range
@@ -473,7 +533,7 @@ class _CayleyStepper:
         Returns a new array and leaves y untouched.
         """
         e, o = y[0::2], y[1::2]
-        off = self.w.b[: self.w.n - 1]
+        off = self.w.off
         for weight in self.weights:
             c, (dl, d, du, du2, ipiv) = self._factor(weight, 0.5 * weight * h)
             cp, cq = c * off[0::2], c * off[1::2]  # the values S was built from
@@ -533,7 +593,7 @@ class _CayleyStepper:
             # one A phi per step serves both the step rule and the update;
             # _apply leaves y0 intact for a redo
             y0 = self.w.y
-            dy = _hop(self.w.b[: self.w.n - 1], y0)
+            dy = _hop(self.w.off, y0)
             h_rule = self._pick_dt(t_target - t, y0, dy)
             _check_step(t, h_rule, t_target)
             steps = round((t_target - t) / h_rule)
@@ -563,9 +623,10 @@ class _RK45Stepper:
     The error test is scipy's per component, with scale
     abs_tol + rel_tol |phi_i|, and max_step = 0.5 / b_max over the window
     keeps the explicit step stable.  Every step still goes through
-    _Window.accept; when the window grows, before a step or after a
-    refused one, the solver is rebuilt from the window's state.  The step
-    size carries over to the next sample interval as first_step.
+    _Window.accept; whenever either edge of the window moves, before a
+    step, after a refused one or by a trim, the solver is rebuilt from the
+    window's state.  The step size carries over to the next sample
+    interval as first_step.
     """
 
     def __init__(self, window: _Window, cfg: EvolveConfig):
@@ -577,19 +638,19 @@ class _RK45Stepper:
         """Advance to t_target; returns the time reached."""
         from scipy.integrate import RK45  # lazy: at module level it slows `import krylovchain`
 
-        w, solver = self.w, None
+        w, solver, built = self.w, None, None
         while t < t_target:
-            n = w.n
             w.ensure_headroom()
-            if solver is None or w.n != n:
+            if solver is None or (w.lo, w.n) != built:
                 max_step = 0.5 / max(np.max(w.b, initial=0.0), 1e-300)
                 _check_step(t, max_step, t_target)
                 first = None if self.h is None else min(self.h, t_target - t)
                 solver = RK45(
-                    lambda _t, y, off=w.b[: w.n - 1]: _hop(off, y),
+                    lambda _t, y, off=w.off: _hop(off, y),
                     t, w.y, t_target, first_step=first, max_step=max_step,
                     rtol=self.cfg.rel_tol, atol=self.cfg.abs_tol,
                 )
+                built = (w.lo, w.n)
             y0 = w.y
             message = solver.step()
             if solver.status == "failed":

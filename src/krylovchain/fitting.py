@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 MIN_WINDOW_SAMPLES = 8
+# the defaults of default_window and fit_log_relation, which config.FitSection reads
+C_MIN = 50.0
+WEIGHTINGS = ("logc", "time")
+WEIGHTING = "logc"
 
 
 @dataclass(frozen=True)
@@ -113,7 +117,7 @@ def select_window(
     )
 
 
-def default_window(series: ObservableSeries, c_min: float = 50.0) -> Selection:
+def default_window(series: ObservableSeries, c_min: float = C_MIN) -> Selection:
     """All samples with C_K >= c_min up to the last trusted-norm sample."""
     return select_window(series, c_min=c_min)
 
@@ -122,7 +126,7 @@ def fit_log_relation(
     series: ObservableSeries,
     window: Selection,
     include_lnln: bool = False,
-    weighting: str = "logc",
+    weighting: str = WEIGHTING,
 ) -> FitResult:
     """OLS of S_K against ln C_K (optionally plus ln ln C_K) over a window.
 
@@ -130,7 +134,7 @@ def fit_log_relation(
     linear interpolation (requires monotone C_K; falls back to "time"
     otherwise); "time" fits the raw samples.
     """
-    if weighting not in ("logc", "time"):
+    if weighting not in WEIGHTINGS:
         raise ValueError("weighting must be 'logc' or 'time'")
     idx = np.asarray(window.indices, dtype=int)
     c = np.asarray(series.c_k)[idx]

@@ -27,6 +27,9 @@ from .sequences import LanczosSequence
 __all__ = ["WClassification", "w_number", "partial_products"]
 
 _Z_LADDER = (1e-2, 1e-3, 1e-4)
+# the defaults of w_number, which config.WnumberSection reads
+DEPTH = 20000
+TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ def _extrapolate_to_zero(xs, ys) -> float:
     return total
 
 
-def w_number(seq: LanczosSequence, depth: int = 20000, tol: float = 1e-7) -> WClassification:
+def w_number(seq: LanczosSequence, depth: int = DEPTH, tol: float = TOL) -> WClassification:
     """Classify W for a sequence.
 
     depth bounds the continued-fraction truncation; tol is the relative

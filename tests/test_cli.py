@@ -565,6 +565,28 @@ def test_fit_and_wnumber_defaults_are_declared_once(tmp_path, capsys):
     assert reports[0] and reports[1] == reports[0]
 
 
+def test_library_defaults_match_the_subcommands(tmp_path, capsys):
+    # default_window + fit_log_relation and w_number, called with their own
+    # defaults, write the reports that `fit` and `wnumber` write without a
+    # section
+    from dataclasses import asdict
+
+    from krylovchain import SykLike, default_window, fit_log_relation, w_number
+    from krylovchain.outputs import write_fit_report, write_json
+
+    cfg = write_config(tmp_path / "c.json", {**BASE_EVOLVE, "evolve": {"t_max": 5.3, "samples": 100}})
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    series_path = tmp_path / "s" / "series.json"
+    assert cli.main(["fit", str(series_path), "--out", str(tmp_path / "fit")]) == 0
+    series = load_series(series_path)
+    write_fit_report(tmp_path / "lib_fit.json", fit_log_relation(series, default_window(series)))
+    assert (tmp_path / "lib_fit.json").read_bytes() == (tmp_path / "fit" / "series_fit.json").read_bytes()
+    w_cfg = write_config(tmp_path / "w.json", {"family": BASE_EVOLVE["family"]})
+    assert cli.main(["wnumber", "--config", w_cfg, "--out", str(tmp_path / "w")]) == 0
+    write_json(tmp_path / "lib_w.json", asdict(w_number(SykLike(1.0, 1.0))))
+    assert (tmp_path / "lib_w.json").read_bytes() == (tmp_path / "w" / "wnumber_report.json").read_bytes()
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records each max_workers and maps in this process."""
 

@@ -540,6 +540,174 @@ def test_finite_chain_window_never_exceeds_support():
         assert st.tail_mass == 0.0
 
 
+def _first_site(state):
+    """The window's first site: sites below it are exactly zero."""
+    return int(np.flatnonzero(state.amplitudes)[0])
+
+
+# measured: cayley6 ends on lo = 1,252 of 2,000 sites, every site within
+# 4.0e-8 of the closed form (as with no trim), norm error 3e-15 and C_K / t^2
+# 1 - 1.7e-9; rk45 ends on lo = 173 of 596, within 1.2e-8, norm error 1.0e-9
+@pytest.mark.parametrize("method,t_max,norm_gate", [("cayley6", 40.0, 1e-12), ("rk45", 20.0, 1e-8)])
+def test_coherent_packet_leaves_the_trimmed_back_exact(method, t_max, norm_gate):
+    # b_n = sqrt(n) carries a Poisson packet to C_K = t^2 with width t; the
+    # window's back follows it, and every site stays on the closed form
+    from krylovchain.observables import complexity
+
+    cfg = EvolveConfig(t_max=t_max, samples=8, method=method)
+    states = list(evolve(SqrtGrowth(1.0), cfg))
+    for s in states:
+        ref = coherent_wavefunction(1.0, np.arange(s.active_size), s.t)
+        assert np.max(np.abs(s.amplitudes - ref)) <= 1e-6, s.t
+        assert s.norm_error <= norm_gate
+    last = states[-1]
+    assert abs(complexity(last) / last.t ** 2 - 1.0) <= 1e-8
+    assert _first_site(last) > last.active_size // 4
+
+
+def test_su2_packet_that_comes_back_regrows_the_back():
+    # the su(2) packet with j = 200 runs to site 400 by t = pi/2 and back to
+    # site 0 by t = pi; the window's back follows it out and the leading
+    # guard band grows it again on the way back.  Without that band the
+    # returning packet reflects off site lo and errs by 1.0, at a norm
+    # error of 6e-15: nothing else shows the fault.
+    cfg = EvolveConfig(t_max=math.pi, samples=8)
+    states = list(evolve(Su2(1.0, 200.0), cfg))
+    for s in states:
+        ref = su2_wavefunction(1.0, 200.0, np.arange(s.active_size), s.t)
+        assert np.max(np.abs(s.amplitudes - ref)) <= 1e-6, s.t
+    assert states[-1].active_size == 401
+    assert max(_first_site(s) for s in states) > 200 and _first_site(states[-1]) == 0
+
+
+@pytest.fixture
+def window_starts(monkeypatch):
+    """Every lo that _Window.accept leaves behind."""
+    from krylovchain.evolve import _Window
+
+    accept, starts = _Window.accept, []
+
+    def recording(self, y, y0, t):
+        ok = accept(self, y, y0, t)
+        starts.append(self.lo)
+        return ok
+
+    monkeypatch.setattr(_Window, "accept", recording)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "family,cfg",
+    [
+        ({"kind": "syk_like", "alpha": 1.0, "eta": 1.0}, EvolveConfig(t_max=5.0, samples=100)),
+        # the nu = 2 point of docs/examples/evolve_spectral_sweep.json
+        ({"kind": "spectral_model", "nu": 2, "alpha": 1.0}, EvolveConfig(t_max=5.57, samples=140, rel_tol=1e-8)),
+    ],
+    ids=["syk_eta1", "spectral_nu2"],
+)
+def test_spreading_packets_keep_the_whole_window(window_starts, family, cfg):
+    # packets that still cover site 0 are never trimmed
+    from krylovchain.config import build_sequence
+
+    last = list(evolve(build_sequence(family), cfg))[-1]
+    assert len(window_starts) > 100 and set(window_starts) == {0}
+    assert last.amplitudes[0] != 0.0
+
+
+def test_trim_drops_the_empty_back_but_a_guard_band():
+    from krylovchain.evolve import _Window
+
+    cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12)
+    y = np.zeros(400)
+    y[:150] = 1e-9  # 1.5e-16 in all: at most 1e-14, 1 % of truncation_tol
+    y[150] = 2e-7  # takes the leading run past 1e-14
+    y[300] = 1.0
+    w = _Window(SykLike(1.0, 1.0), cfg, y)
+    assert w.accept(y, y, 0.0)
+    assert w.lo == 150 - cfg.guard_band and w.n == 400
+    state = w.state(0.0)
+    assert not state.amplitudes[: w.lo].any()
+    assert np.array_equal(state.amplitudes[w.lo :], y[w.lo :])
+    assert state.norm_error == pytest.approx(float(np.sum(y[w.lo :] ** 2)) - 1.0, abs=1e-15)
+    # no trim of less than a quarter of the window, none that leaves under 64 sites
+    w2 = _Window(SykLike(1.0, 1.0), cfg, y[w.lo - 40 :])
+    assert w2.accept(w2.y, w2.y, 0.0) and w2.lo == 0
+    for size, lo in ((80, 0), (100, 36)):
+        short = np.zeros(size)
+        short[-10] = 1.0
+        w3 = _Window(SykLike(1.0, 1.0), cfg, short)
+        assert w3.accept(short, short, 0.0) and w3.lo == lo
+
+
+def test_leading_guard_band_grows_the_back():
+    # before a step past 1 % of truncation_tol, after one past truncation_tol
+    # (the step is refused and y0 put back); each time by the growth rule's
+    # step for the window's size, ceil(1.12 m) + guard_band - m, down to 0
+    from krylovchain.evolve import _Window
+
+    cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12)
+    y = np.zeros(1000)
+    y[600] = 1.0
+    w = _Window(SykLike(1.0, 1.0), cfg, y)
+    assert w.accept(w.y, w.y, 0.0) and w.lo == 600 - cfg.guard_band
+
+    def step(m):
+        return math.ceil(1.12 * m) + cfg.guard_band - m
+
+    w.y = w.y.copy()
+    w.y[0] = 0.9e-7  # 8.1e-15: no growth yet
+    w.ensure_headroom()
+    assert w.lo == 592
+    w.y[0] = 2e-7
+    w.ensure_headroom()
+    assert w.lo == 592 - step(408) == 535
+    y0 = w.y
+    leak = y0.copy()
+    leak[0] = 2e-6  # 4e-12 > truncation_tol
+    assert not w.accept(leak, y0, 0.5)
+    assert w.lo == 535 - step(465) == 471
+    assert w.n == 1000 and w.state(0.5).amplitudes[592] == 2e-7
+    while w.lo:
+        w.grow_back()
+    assert np.array_equal(w.state(0.5).amplitudes[535:], y0)
+
+
+def test_moved_back_steps_as_its_dense_cayley_factor(lapack_calls):
+    # after a trim, a growth of the back, or both edges at once, the stage
+    # runs on b_{lo+1}..b_{n-1} and factors S from row 0 on the new window:
+    # the update is the dense Cayley product there
+    from krylovchain.evolve import _COMPOSITIONS, _CayleyStepper, _Window
+
+    cfg = EvolveConfig(t_max=1.0)
+    seq = SqrtGrowth(1.0)
+    y = np.zeros(300)
+    y[200:260] = np.random.default_rng(5).standard_normal(60)
+    y /= np.linalg.norm(y)
+    w = _Window(seq, cfg, y)
+    stp = _CayleyStepper(w, cfg)
+    h = 0.01
+    assert w.accept(stp._apply(h, w.y), y, 0.0) and w.lo > 0
+    windows = []
+    for move in ("trim", "back and front", "back"):
+        if move != "trim":
+            w.grow_back()
+        if move == "back and front":
+            w.resize(w.n + 40)
+        windows.append((w.lo, w.n))
+        before = lapack_calls["dgttrf"]
+        got = stp._apply(h, w.y)
+        assert lapack_calls["dgttrf"] - before == len(set(stp.weights)), move
+        m = w.n - w.lo
+        off = seq.b_array(w.n)[w.lo : w.n - 1]
+        a = np.diag(off, -1) - np.diag(off, 1)
+        ref = w.y
+        for weight in _COMPOSITIONS[cfg.method][0]:
+            c = 0.5 * weight * h
+            ref = np.linalg.solve(np.eye(m) - c * a, ref + c * (a @ ref))
+        assert np.max(np.abs(got - ref)) <= 1e-14, move
+    assert windows[0][0] > windows[1][0] > windows[2][0] and windows[1][1] == 340
+
+
 SHORT_CHAINS = [
     pytest.param(Explicit((1.3,)), None, id="explicit_k1"),
     pytest.param(Explicit((0.8, 1.7)), None, id="explicit_k2"),
