@@ -286,6 +286,32 @@ def test_cayley4_forward_back_round_trip():
     assert np.max(np.abs(y - start)) <= 1e-12
 
 
+def _expression_stages(stp, h, y, dy):
+    # the even-site stages of _CayleyStepper._apply written as plain numpy
+    # expressions, each evaluated left to right, on the stepper's own factors
+    from scipy.linalg import lapack
+
+    e, o, off = y[0::2], y[1::2], stp.w.off
+    for weight in stp.weights:
+        c, (dl, d, du, du2, ipiv) = stp._factor(weight, 0.5 * weight * h)
+        cp, cq = c * off[0::2], c * off[1::2]
+        if dy is None:
+            u = cp * e[: len(cp)] + o
+            u[: len(cq)] -= cq * e[1:]
+        else:
+            u, dy = c * dy[1::2] + o, None
+        r = np.zeros(len(d))
+        r[1 : len(cq) + 1] = cq * u[: len(cq)]
+        r[: len(cp)] -= cp * u
+        delta = lapack.dgttrs(dl, d, du, du2, ipiv, r)[0]
+        e = delta[: len(e)] + e
+        o = cp * e[: len(cp)] + u
+        o[: len(cq)] -= cq * e[1:]
+    out = np.empty(len(y))
+    out[0::2], out[1::2] = e, o
+    return out
+
+
 @pytest.mark.parametrize("method", ["cayley6", "cayley4", "trapezoidal"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 40, 41])
 def test_stage_matches_dense_cayley(method, n):
@@ -307,6 +333,23 @@ def test_stage_matches_dense_cayley(method, n):
             ref = np.linalg.solve(np.eye(n) - c * a, ref + c * (a @ ref))
         for dy in (None, a @ y):
             assert np.max(np.abs(stp._apply(h, y, dy) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("method", ["cayley6", "cayley4", "trapezoidal"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41])
+def test_stages_in_buffers_keep_the_bits_of_the_expressions(method, n):
+    # the stages run in buffers reused across steps and windows, and products
+    # go to whichever buffer is free; every value keeps its bits
+    from krylovchain.evolve import _CayleyStepper, _Window, _hop
+
+    cfg = EvolveConfig(t_max=1.0, method=method)
+    y = np.random.default_rng(n).standard_normal(n)
+    y /= np.linalg.norm(y)
+    w = _Window(SykLike(1.0, 1.5), cfg, y)
+    stp = _CayleyStepper(w, cfg)
+    for h in (0.3, 0.3, -0.05):
+        for dy in (None, _hop(w.off, y)):
+            assert np.array_equal(stp._apply(h, y, dy), _expression_stages(stp, h, y, dy))
 
 
 @pytest.mark.parametrize("method", ["cayley4", "trapezoidal"])
@@ -479,6 +522,71 @@ def test_fewest_equal_steps_per_interval(lapack_calls, method, count):
     assert math.ceil(interval / rule[0]) == count
     assert lapack_calls["dgttrs"] - before == len(stp.weights) * math.ceil(interval / rule[0])
     assert all(h <= dt for h, dt in zip(steps, rule))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(
+    st.lists(st.floats(0.25, 2.0), min_size=1, max_size=39),
+    st.integers(0, 2 ** 32 - 1),
+    st.floats(0.0, 2.0, exclude_min=True),
+)
+def test_step_conserves_the_rate(b, seed, h):
+    # every Cayley stage commutes with A and is orthogonal, so ||A y|| is a
+    # quadratic invariant of a step over the whole chain: the step rule's rate
+    # needs measuring once per plan (worst relative change over 400 random
+    # draws: 1.1e-15)
+    from krylovchain.evolve import _CayleyStepper, _Window, _hop
+
+    y = np.random.default_rng(seed).standard_normal(len(b) + 1)
+    y /= np.linalg.norm(y)
+    for method in ("cayley6", "cayley4", "trapezoidal"):
+        cfg = EvolveConfig(t_max=1.0, method=method)
+        w = _Window(Explicit(tuple(b)), cfg, y)
+        before = np.linalg.norm(_hop(w.off, y))
+        after = np.linalg.norm(_hop(w.off, _CayleyStepper(w, cfg)._apply(h, y)))
+        assert abs(after - before) <= 1e-12 * before, method
+
+
+def test_step_rule_measures_once_per_plan(monkeypatch, lapack_calls):
+    # the power-law benchmark's evolve measures its rate at the start of each
+    # of its 150 sample intervals and after 62 of its 67 window moves (the
+    # others fall on an interval's start), not on each of its 1,500 steps
+    module = importlib.import_module("krylovchain.evolve")
+    hop, hops = module._hop, []
+
+    def counted(off, y):
+        hops.append(len(y))
+        return hop(off, y)
+
+    monkeypatch.setattr(module, "_hop", counted)
+    cfg = EvolveConfig(t_max=1.35e4 ** 0.5, samples=150, rel_tol=1e-8)
+    for _ in evolve(PowerLaw(1.0, 0.5), cfg):
+        pass
+    assert lapack_calls["dgttrs"] == 10_500
+    assert len(hops) == 212
+
+
+@pytest.mark.parametrize(
+    "seq,t_max,gate",
+    [(SqrtGrowth(1.0), 40.0, 1e-5), (SykLike(1.0, 1.0), 5.0, 1e-3), (SykLike(1.0, 2.0), 5.0, 1e-3)],
+)
+def test_measured_rate_stays_at_its_start(monkeypatch, seq, t_max, gate):
+    # ||A phi|| / ||phi|| is b_1 at phi = delta_n0 and stays so; the rule's
+    # rate, taken over the populated sites, drifts only where the packet's
+    # faint edges fall outside them (worst: 1.6e-6, 2.7e-4 and 3.1e-4)
+    from krylovchain.evolve import _CayleyStepper
+
+    rate, rates = _CayleyStepper._rate, []
+
+    def recorded(self, y, dy):
+        rates.append(rate(self, y, dy))
+        return rates[-1]
+
+    monkeypatch.setattr(_CayleyStepper, "_rate", recorded)
+    for _ in evolve(seq, EvolveConfig(t_max=t_max)):
+        pass
+    assert len(rates) >= 100
+    assert max(abs(r / seq.b(1) - 1.0) for r in rates) <= gate
 
 
 def test_factor_reused_across_rounding_level_steps(lapack_calls):
