@@ -14,7 +14,12 @@ tolerance, which is then redone on the grown window.  Its back follows a
 packet that moves away from the origin: after a step whose leading
 guard band holds at most 1 % of the tolerance, the longest leading run
 of at most that mass is dropped but for guard_band sites of it, when at
-least a quarter of the window goes and 64 sites or more stay.  A leading
+least a quarter of the window goes and 64 sites or more stay.  Once the
+back has moved, the front grows before a step already at 0.1 % of the
+tolerance, a tenth of what the trim may drop: each implicit stage
+spreads the truncation at the front over the whole window, and at 1 %
+the leading quarter fills to the trim's own threshold, so the back
+stops following the packet.  A leading
 guard band mirrors the trailing one, so a packet that comes back grows
 the back by ceil(1.12 m) + guard_band - m sites for a window of m sites,
 before a step or by refusing and redoing one.  Sites below lo are zero
@@ -200,6 +205,11 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(np.sum(np.ldexp(v, -e) ** 2))) * 2.0 ** e
 
 
+def _mass(v: np.ndarray) -> float:
+    """sum v^2 of a guard band."""
+    return float((v * v).sum())
+
+
 def _stage_buffers(off: np.ndarray, rows: int) -> tuple:
     """The work arrays of the Cayley stages on a window with couplings off, and their views.
 
@@ -253,12 +263,17 @@ class _Window:
 
     y holds phi_lo..phi_{n-1}; b holds b_1..b_n from site 0 on, so the
     back edge moves without evaluating couplings again, and `off` is the
-    couplings b_{lo+1}..b_{n-1} inside the window.
+    couplings b_{lo+1}..b_{n-1} inside the window.  keep is the mass the
+    trim may drop, 1 % of truncation_tol.  The guard-band sums that
+    accept takes on a step's y serve its trim and the next step's
+    ensure_headroom; every change of y or of an edge assigns y, which
+    drops them.
     """
 
     def __init__(self, seq: LanczosSequence, cfg: EvolveConfig, initial: Optional[np.ndarray]):
         self.seq = seq
         self.cfg = cfg
+        self.keep = 0.01 * cfg.truncation_tol
         self.lo = 0
         sup = seq.support
         self.cap = cfg.max_active_size if sup is None else min(sup + 1, cfg.max_active_size)
@@ -278,8 +293,17 @@ class _Window:
             self.y, self.b = self.y[:m], self.b[:m]
 
     @property
+    def y(self) -> np.ndarray:
+        return self._y
+
+    @y.setter
+    def y(self, y: np.ndarray) -> None:
+        self._y = y
+        self._masses = None  # (tail_mass, head_mass) of y, as accept took them
+
+    @property
     def n(self) -> int:
-        return self.lo + len(self.y)
+        return self.lo + len(self._y)
 
     @property
     def off(self) -> np.ndarray:
@@ -288,15 +312,11 @@ class _Window:
     def tail_mass(self) -> float:
         if self.b[-1] == 0.0:
             return 0.0  # no coupling leaves the window: nothing is truncated
-        v = self.y[-self.cfg.guard_band :]
-        return float((v * v).sum())
+        return _mass(self._y[-self.cfg.guard_band :])
 
     def head_mass(self) -> float:
         """The squared mass in the leading guard band; 0 at lo = 0, where b_0 = 0 holds it in."""
-        if not self.lo:
-            return 0.0
-        v = self.y[: self.cfg.guard_band]
-        return float((v * v).sum())
+        return _mass(self._y[: self.cfg.guard_band]) if self.lo else 0.0
 
     def resize(self, new_n: int) -> None:
         """Grow to new_n sites, or to fewer where a coupling is not finite.
@@ -325,22 +345,21 @@ class _Window:
         self.y = np.concatenate((np.zeros(self.lo - lo), self.y))
         self.lo = lo
 
-    def trim(self) -> None:
+    def trim(self, band: float) -> None:
         """Drop the leading sites the packet has left behind.
 
-        Nothing happens unless the leading guard band holds at most 1 % of
-        truncation_tol, so a packet that still covers the first sites costs
-        one guard band's sum.  Otherwise the longest leading run of at most
-        that mass goes, but for guard_band sites of it, provided at least a
-        quarter of the window goes and 64 sites or more stay: each change of
-        lo refactors every stage.
+        band is the mass of the first guard_band sites.  Nothing happens
+        unless it is at most keep, so a packet that still covers the first
+        sites costs no further sum.  Otherwise the longest leading run of at most that mass goes,
+        but for guard_band sites of it, provided at least a quarter of the
+        window goes and 64 sites or more stay: each change of lo refactors
+        every stage.
         """
-        g, keep, m = self.cfg.guard_band, 0.01 * self.cfg.truncation_tol, len(self.y)
+        g, keep, m = self.cfg.guard_band, self.keep, len(self.y)
         quarter = -(-m // 4)
         if m - quarter < 64:
             return
-        head, band = self.y[: quarter + g], self.y[:g]
-        if float((band * band).sum()) > keep or float((head * head).sum()) > keep:
+        if band > keep or _mass(self.y[: quarter + g]) > keep:
             return
         run = int(np.searchsorted(np.cumsum(self.y ** 2), keep, side="right"))
         cut = min(run - g, m - 64)
@@ -348,10 +367,24 @@ class _Window:
         self.lo += cut
 
     def ensure_headroom(self) -> None:
-        """Grow ahead of the front, and behind the back, so steps rarely need redoing."""
-        if self.tail_mass() > 0.01 * self.cfg.truncation_tol:
+        """Grow ahead of the front, and behind the back, so steps rarely need redoing.
+
+        The back grows when its leading guard band holds more than keep.
+        The front grows when its trailing guard band holds more than keep
+        while lo = 0, and more than a tenth of keep once the back has
+        moved.  Each implicit stage spreads the truncation at the front
+        over the whole window in one step; at keep, the leading quarter of
+        a trimmed window fills to keep too (1.9e-14 on b_n = sqrt(n) at
+        t = 93, where the closed form holds 6.7e-56), and the trim stops
+        following the packet.  While lo = 0 nothing is trimmed yet, and
+        growing sooner would only widen the window: the nu = 2 point of
+        docs/examples/evolve_spectral_sweep.json would end on 534,160
+        sites instead of 476,921.
+        """
+        tail, head = self._masses or (self.tail_mass(), self.head_mass())
+        if tail > (0.1 * self.keep if self.lo else self.keep):
             self.resize(_grown(self.n, self.cfg))
-        if self.head_mass() > 0.01 * self.cfg.truncation_tol:
+        if head > self.keep:
             self.grow_back()
 
     def accept(self, y: np.ndarray, y0: np.ndarray, t: float) -> bool:
@@ -363,10 +396,12 @@ class _Window:
         reporting t.
         """
         self.y = y
-        front = self.tail_mass() > self.cfg.truncation_tol
-        back = self.head_mass() > self.cfg.truncation_tol
+        tail, band = self.tail_mass(), _mass(y[: self.cfg.guard_band])
+        head = band if self.lo else 0.0
+        front, back = tail > self.cfg.truncation_tol, head > self.cfg.truncation_tol
         if not (front or back):
-            self.trim()
+            self._masses = (tail, head)
+            self.trim(band)
             return True
         if front and self.n >= self.cap:
             raise ResourceLimitError(t, self.cfg.max_active_size)

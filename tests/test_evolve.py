@@ -549,7 +549,7 @@ def test_step_conserves_the_rate(b, seed, h):
 
 def test_step_rule_measures_once_per_plan(monkeypatch, lapack_calls):
     # the power-law benchmark's evolve measures its rate at the start of each
-    # of its 150 sample intervals and after 62 of its 67 window moves (the
+    # of its 150 sample intervals and after 72 of its 76 window moves (the
     # others fall on an interval's start), not on each of its 1,500 steps
     module = importlib.import_module("krylovchain.evolve")
     hop, hops = module._hop, []
@@ -563,7 +563,7 @@ def test_step_rule_measures_once_per_plan(monkeypatch, lapack_calls):
     for _ in evolve(PowerLaw(1.0, 0.5), cfg):
         pass
     assert lapack_calls["dgttrs"] == 10_500
-    assert len(hops) == 212
+    assert len(hops) == 222
 
 
 @pytest.mark.parametrize(
@@ -654,8 +654,8 @@ def _first_site(state):
 
 
 # measured: cayley6 ends on lo = 1,252 of 2,000 sites, every site within
-# 4.0e-8 of the closed form (as with no trim), norm error 3e-15 and C_K / t^2
-# 1 - 1.7e-9; rk45 ends on lo = 173 of 596, within 1.2e-8, norm error 1.0e-9
+# 1.5e-8 of the closed form, norm error at most 2.7e-15 and C_K / t^2
+# 1 - 1.7e-9; rk45 ends on lo = 173 of 596, within 6.6e-9, norm error 1.0e-9
 @pytest.mark.parametrize("method,t_max,norm_gate", [("cayley6", 40.0, 1e-12), ("rk45", 20.0, 1e-8)])
 def test_coherent_packet_leaves_the_trimmed_back_exact(method, t_max, norm_gate):
     # b_n = sqrt(n) carries a Poisson packet to C_K = t^2 with width t; the
@@ -671,6 +671,38 @@ def test_coherent_packet_leaves_the_trimmed_back_exact(method, t_max, norm_gate)
     last = states[-1]
     assert abs(complexity(last) / last.t ** 2 - 1.0) <= 1e-8
     assert _first_site(last) > last.active_size // 4
+
+
+def test_back_follows_the_packet_to_the_end():
+    # the power-law benchmark's evolve: the Poisson packet has no mass below
+    # about t^2 - 7.4 t at the end, and the back keeps following it (lo ends
+    # at 12,319; with the front grown only at 1 % of truncation_tol the
+    # leading quarter fills to the trim's threshold and lo stalls at 6,269)
+    cfg = EvolveConfig(t_max=1.35e4 ** 0.5, samples=150, rel_tol=1e-8)
+    states = list(evolve(PowerLaw(1.0, 0.5), cfg))
+    for s in states:
+        ref = coherent_wavefunction(1.0, np.arange(s.active_size), s.t)
+        assert np.max(np.abs(s.amplitudes - ref)) <= 1e-6, s.t
+    last = states[-1]
+    assert _first_site(last) >= last.t ** 2 - 12.0 * last.t
+
+
+@pytest.mark.parametrize("lo", [0, 100])
+def test_front_grows_sooner_once_the_back_has_moved(lo):
+    # a trailing band of 5e-15 at truncation_tol 1e-12: under the 1e-14 the
+    # trim may drop, over a tenth of it
+    from krylovchain.evolve import _Window
+
+    cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12)
+    y = np.zeros(400)
+    y[lo + 150] = 1.0
+    y[-1] = 5e-15 ** 0.5
+    w = _Window(SqrtGrowth(1.0), cfg, y)
+    if lo:
+        w.y, w.lo = y[lo:], lo
+    w.ensure_headroom()
+    assert w.lo == lo
+    assert w.n == (400 if lo == 0 else math.ceil(1.12 * 400) + cfg.guard_band)
 
 
 def test_su2_packet_that_comes_back_regrows_the_back():
