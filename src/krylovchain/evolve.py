@@ -41,9 +41,9 @@ Two stepper families are provided (METHODS names them):
   Because A is antisymmetric every stage is exactly orthogonal, so the
   norm is conserved to rounding regardless of step size, and the step is
   not limited by the largest hopping in the window (the fast frontier
-  modes are unpopulated).  The step size follows the solution's measured
-  timescale ||A phi|| / ||phi||.  Every stage conserves it, so it is
-  measured once per plan of equal steps, not on every step (see
+  modes are unpopulated).  The step size follows the solution's
+  timescale ||A phi|| / ||phi||.  The exact flow conserves it, so it is
+  taken once per run, from the state the run starts in (see
   _CayleyStepper).
 * "rk45": explicit Dormand-Prince 5(4), run by scipy.integrate.RK45 with
   its per-component error test and the step bounded by dt <= 0.5/b_max
@@ -460,41 +460,37 @@ class _CayleyStepper:
     The stages share A, so the update of order p equals exp(hA) up to
     h^(p+1) A^(p+1) C with C = |sum w^(p+1)| / ((p+1) 2^p), from
     log R_11(x) = 2 artanh(x/2).  Step size comes from the solution's
-    measured timescale: with R = ||d phi/dt|| / ||phi|| over the
-    populated sites, the local error per step is ~ C (h R)^(p+1) ||phi||,
-    so
+    timescale: with R = ||d phi/dt|| / ||phi||, the local error per step
+    is ~ C (h R)^(p+1) ||phi||, so
 
         h = (tol / C)^(1/(p+1)) / (SAFETY * R)
 
     keeps the per-step error near tol = abs_tol + rel_tol: C = 1/12 for
     "trapezoidal" (p = 2), C ~ 9.3e-4 for "cayley4" (p = 4) and
-    C ~ 2.6e-4 for "cayley6" (p = 6).  R need not be measured on every
-    step: each stage commutes with A and is orthogonal, so a step keeps
-    ||A phi|| and ||phi||, a quadratic invariant (Hairer, Lubich & Wanner,
-    IV.2).  It is measured once per plan, at the start of a sample
-    interval and again only after the window moves (a growth, a refused
-    step or a trim), and the A phi it takes serves that step's first
-    stage.  Over the 1,500 steps of b_n = sqrt(n) to C_K = 1.35e4 the
-    measured R stays within 2e-6 of b_1.  A feedback controller (step
+    C ~ 2.6e-4 for "cayley6" (p = 6).  R is taken once per run, over the
+    whole window of the state the run starts in (b_1 from phi = delta_n0):
+    A is antisymmetric, so the exact flow e^(tA) is orthogonal and
+    commutes with A, and ||A phi|| / ||phi|| is constant along it
+    (Hairer, Lubich & Wanner, IV.2).  A feedback controller (step
     doubling) is deliberately not used: the update is exactly orthogonal,
     so unresolved high-frequency content only accumulates bounded phase
     mismatch, which a doubling estimator misreads as error and answers by
     collapsing the step to the inverse of the largest hopping in the
-    window.  Every plan cuts what remains of the sample interval into the
-    fewest equal steps no longer than h, so steps keep one length and
-    share their LU factorizations.  A factorization is reused while its c
-    matches the stage's to 1e-12 relative, and the stage then runs with
-    the cached c, so every stage stays an exact Cayley factor and the
-    clock is off by at most 1e-12 h per step.  Within an interval the clock is start + k h rather than a
-    running sum, so the steps of one plan keep one bit-identical length
-    however far t is from 0.  The cache holds one factorization per
-    distinct stage weight, on the current window [lo, n).  A growth of the
-    front keeps it: the leading rows of a tridiagonal LU do not depend on
-    rows added below them, so a set whose c is the stage's own, bit for
-    bit, is extended by factoring the new rows alone (see _factor), and
-    equals a fresh factorization of the grown S.  A move of the back, by
-    a trim or a growth, changes the leading rows, so every stage is then
-    factored from row 0.
+    window.  Each sample interval is cut into the fewest equal steps no
+    longer than h, so steps keep one length and share their LU
+    factorizations.  A factorization is reused while its c matches the
+    stage's to 1e-12 relative, and the stage then runs with the cached c,
+    so every stage stays an exact Cayley factor and the clock is off by at
+    most 1e-12 h per step.  Within an interval the clock is start + k h
+    rather than a running sum, so the interval's steps keep one
+    bit-identical length however far t is from 0.  The cache holds one
+    factorization per distinct stage weight, on the current window
+    [lo, n).  A growth of the front keeps it: the leading rows of a
+    tridiagonal LU do not depend on rows added below them, so a set whose
+    c is the stage's own, bit for bit, is extended by factoring the new
+    rows alone (see _factor), and equals a fresh factorization of the
+    grown S.  A move of the back, by a trim or a growth, changes the
+    leading rows, so every stage is then factored from row 0.
     """
 
     _SAFETY = 3.0
@@ -510,6 +506,7 @@ class _CayleyStepper:
         tol = cfg.abs_tol + cfg.rel_tol
         inv_const = (order + 1) * 2 ** order / abs(sum(w ** (order + 1) for w in self.weights))
         self._dt_acc_base = (inv_const * tol) ** (1.0 / (order + 1)) / self._SAFETY
+        self._dt_acc = self._dt_acc_base / self._rate(window.y, _hop(window.off, window.y))
 
     def _factor(self, weight: float, c: float):
         """(c', bands) for the even-site system S = I + c'^2 A_oe^T A_oe.
@@ -586,8 +583,8 @@ class _CayleyStepper:
             np.multiply(-0.5 * cp[: len(cq)], cq, out=s[: len(cq)])
         return d, s
 
-    def _apply(self, h: float, y: np.ndarray, dy: Optional[np.ndarray] = None) -> np.ndarray:
-        """One composed update over step h; dy = A y when the caller has it.
+    def _apply(self, h: float, y: np.ndarray) -> np.ndarray:
+        """One composed update over step h.
 
         Returns a new array and leaves y untouched.  The stages run in the
         window's _stage_buffers.  A move of either edge frees the old
@@ -613,17 +610,11 @@ class _CayleyStepper:
             mul(q, c, cq)
             _, e_sites, e_lo, e_hi, e_q = e
             r_all, r_sites, r_lo, r_hi, r_q = r
-            # u = o + c A_oe e = cp e_lo + o - cq e_hi, with cq e_hi in r; the
-            # first stage reads c A_oe e off dy = A y
-            if dy is None:
-                mul(cp, e_lo, u)
-                u += o
-                mul(cq, e_hi, r_q)
-                u_q -= r_q
-            else:
-                mul(dy[1::2], c, u)
-                u += o
-                dy = None
+            # u = o + c A_oe e = cp e_lo + o - cq e_hi, with cq e_hi in r
+            mul(cp, e_lo, u)
+            u += o
+            mul(cq, e_hi, r_q)
+            u_q -= r_q
             # (S / 2) delta = c A_eo u, whose row j is cq_{j-1} u_{j-1} - cp_j u_j,
             # with cp u in o
             r_all[0] = 0.0
@@ -647,57 +638,32 @@ class _CayleyStepper:
         return out
 
     def _rate(self, y: np.ndarray, dy: np.ndarray) -> float:
-        """||d phi/dt|| / ||phi|| restricted to the populated sites; dy = A y.
-
-        The populated sites are the range from the first to the last site
-        above 1e-3 of the peak, widened by two sites each way so the first
-        step away from a point-localized state still sees the outgoing
-        derivative.
-        """
-        mag = np.abs(y)
-        peak = float(mag.max())
-        if peak == 0.0:
+        """||d phi/dt|| / ||phi|| over the whole window; dy = A y."""
+        if not y.any():
             return 1.0
-        big = mag > 1e-3 * peak
-        lo = max(int(big.argmax()) - 2, 0)
-        hi = len(y) - int(big[::-1].argmax()) + 2
-        return max(_norm(dy[lo:hi]) / max(_norm(y[lo:hi]), 1e-300), 1e-300)
-
-    def _pick_dt(self, remaining: float, y: np.ndarray, dy: np.ndarray) -> float:
-        """Length of the fewest equal steps over `remaining` that the step rule allows.
-
-        A rule's step under remaining / 1e13, below the step floor, is returned as it is.
-        """
-        dt_acc = self._dt_acc_base / self._rate(y, dy)
-        return remaining / math.ceil(remaining / dt_acc) if remaining < 1e13 * dt_acc else dt_acc
+        return max(_norm(dy) / max(_norm(y), 1e-300), 1e-300)
 
     def advance(self, t: float, t_target: float) -> float:
         """Advance to t_target; returns the time reached."""
         eps = 1e-12 * max(1.0, abs(t_target))
-        # the clock is start + k h while the step rule keeps a plan of m equal
-        # steps, so rounding does not gather in t and h stays bit-identical
-        start, k, m, h = t, 0, 0, 0.0
-        planned = None  # the window (lo, n) that the step rule last measured
+        # the clock is start + k h, so rounding does not gather in t and h
+        # stays bit-identical over the interval
+        start, k, h = t, 0, None
         while t < t_target - eps:
             self.w.ensure_headroom()
+            if h is None:
+                # the floor is checked after the interval's first growth, so
+                # that a coupling that overflows there is named first; a rule's
+                # step under remaining / 1e13, below the floor, is taken as it is
+                remaining, dt = t_target - t, self._dt_acc
+                h = remaining / math.ceil(remaining / dt) if remaining < 1e13 * dt else dt
+                _check_step(t, h, t_target)
             # _apply leaves y0 intact for a redo
-            y0, dy = self.w.y, None
-            if k == m or (self.w.lo, self.w.n) != planned:
-                # the scheme conserves ||A phi|| / ||phi||, so the rule is
-                # measured once per plan and again only on a moved window;
-                # its A phi also serves the step's first stage
-                dy = _hop(self.w.off, y0)
-                h_rule = self._pick_dt(t_target - t, y0, dy)
-                _check_step(t, h_rule, t_target)
-                steps = round((t_target - t) / h_rule)
-                if steps != m - k:
-                    start, k, m, h = t, 0, steps, h_rule
-                planned = (self.w.lo, self.w.n)
+            y0 = self.w.y
             try:
-                y = self._apply(h, y0, dy)
+                y = self._apply(h, y0)
             except FloatingPointError:
                 raise StiffnessError(t, h, "the stage system overflows float64") from None
-            del dy  # free it before a window growth allocates
             if self.w.accept(y, y0, t):
                 k += 1
                 t = start + k * h

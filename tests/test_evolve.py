@@ -286,7 +286,7 @@ def test_cayley4_forward_back_round_trip():
     assert np.max(np.abs(y - start)) <= 1e-12
 
 
-def _expression_stages(stp, h, y, dy):
+def _expression_stages(stp, h, y):
     # the even-site stages of _CayleyStepper._apply written as plain numpy
     # expressions, each evaluated left to right, on the stepper's own factors
     from scipy.linalg import lapack
@@ -295,11 +295,8 @@ def _expression_stages(stp, h, y, dy):
     for weight in stp.weights:
         c, (dl, d, du, du2, ipiv) = stp._factor(weight, 0.5 * weight * h)
         cp, cq = c * off[0::2], c * off[1::2]
-        if dy is None:
-            u = cp * e[: len(cp)] + o
-            u[: len(cq)] -= cq * e[1:]
-        else:
-            u, dy = c * dy[1::2] + o, None
+        u = cp * e[: len(cp)] + o
+        u[: len(cq)] -= cq * e[1:]
         r = np.zeros(len(d))
         r[1 : len(cq) + 1] = cq * u[: len(cq)]
         r[: len(cp)] -= cp * u
@@ -331,8 +328,7 @@ def test_stage_matches_dense_cayley(method, n):
         for weight in _COMPOSITIONS[method][0]:
             c = 0.5 * weight * h
             ref = np.linalg.solve(np.eye(n) - c * a, ref + c * (a @ ref))
-        for dy in (None, a @ y):
-            assert np.max(np.abs(stp._apply(h, y, dy) - ref)) <= 1e-14
+        assert np.max(np.abs(stp._apply(h, y) - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("method", ["cayley6", "cayley4", "trapezoidal"])
@@ -340,7 +336,7 @@ def test_stage_matches_dense_cayley(method, n):
 def test_stages_in_buffers_keep_the_bits_of_the_expressions(method, n):
     # the stages run in buffers reused across steps and windows, and products
     # go to whichever buffer is free; every value keeps its bits
-    from krylovchain.evolve import _CayleyStepper, _Window, _hop
+    from krylovchain.evolve import _CayleyStepper, _Window
 
     cfg = EvolveConfig(t_max=1.0, method=method)
     y = np.random.default_rng(n).standard_normal(n)
@@ -348,8 +344,7 @@ def test_stages_in_buffers_keep_the_bits_of_the_expressions(method, n):
     w = _Window(SykLike(1.0, 1.5), cfg, y)
     stp = _CayleyStepper(w, cfg)
     for h in (0.3, 0.3, -0.05):
-        for dy in (None, _hop(w.off, y)):
-            assert np.array_equal(stp._apply(h, y, dy), _expression_stages(stp, h, y, dy))
+        assert np.array_equal(stp._apply(h, y), _expression_stages(stp, h, y))
 
 
 @pytest.mark.parametrize("method", ["cayley4", "trapezoidal"])
@@ -481,10 +476,10 @@ def test_extended_factors_evolve_as_fresh_ones(monkeypatch):
     kept = list(evolve(seq, cfg))
     apply, sizes = _CayleyStepper._apply, set()
 
-    def uncached(self, h, y, dy=None):
+    def uncached(self, h, y):
         self._factors.clear()
         sizes.add(len(y))
-        return apply(self, h, y, dy)
+        return apply(self, h, y)
 
     monkeypatch.setattr(_CayleyStepper, "_apply", uncached)
     fresh = list(evolve(seq, cfg))
@@ -506,22 +501,20 @@ def test_fewest_equal_steps_per_interval(lapack_calls, method, count):
     stp = _CayleyStepper(w, cfg)
     times = cfg.resolve_sample_times()
     t = stp.advance(0.0, times[1])
-    rule, steps = [], []
-    pick = stp._pick_dt
+    apply, steps = stp._apply, []
 
-    def spy(remaining, y, dy):
-        rule.append(stp._dt_acc_base / stp._rate(y, dy))
-        steps.append(pick(remaining, y, dy))
-        return steps[-1]
+    def spy(h, y):
+        steps.append(h)
+        return apply(h, y)
 
-    stp._pick_dt = spy
+    stp._apply = spy
     before = lapack_calls["dgttrs"]
     interval = times[2] - t
     stp.advance(t, times[2])
     assert w.n == 4000
-    assert math.ceil(interval / rule[0]) == count
-    assert lapack_calls["dgttrs"] - before == len(stp.weights) * math.ceil(interval / rule[0])
-    assert all(h <= dt for h, dt in zip(steps, rule))
+    assert math.ceil(interval / stp._dt_acc) == count == len(steps)
+    assert lapack_calls["dgttrs"] - before == len(stp.weights) * count
+    assert all(h <= stp._dt_acc for h in steps)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -532,9 +525,9 @@ def test_fewest_equal_steps_per_interval(lapack_calls, method, count):
 )
 def test_step_conserves_the_rate(b, seed, h):
     # every Cayley stage commutes with A and is orthogonal, so ||A y|| is a
-    # quadratic invariant of a step over the whole chain: the step rule's rate
-    # needs measuring once per plan (worst relative change over 400 random
-    # draws: 1.1e-15)
+    # quadratic invariant of a step over the whole chain, as of the exact flow:
+    # the step rule's rate needs taking once per run (worst relative change
+    # over 400 random draws: 1.1e-15)
     from krylovchain.evolve import _CayleyStepper, _Window, _hop
 
     y = np.random.default_rng(seed).standard_normal(len(b) + 1)
@@ -548,9 +541,8 @@ def test_step_conserves_the_rate(b, seed, h):
 
 
 def test_step_rule_measures_once_per_plan(monkeypatch, lapack_calls):
-    # the power-law benchmark's evolve measures its rate at the start of each
-    # of its 150 sample intervals and after 72 of its 76 window moves (the
-    # others fall on an interval's start), not on each of its 1,500 steps
+    # the power-law benchmark's evolve takes its rate once, from the state it
+    # starts in, not at each of its 150 sample intervals or 1,500 steps
     module = importlib.import_module("krylovchain.evolve")
     hop, hops = module._hop, []
 
@@ -563,30 +555,43 @@ def test_step_rule_measures_once_per_plan(monkeypatch, lapack_calls):
     for _ in evolve(PowerLaw(1.0, 0.5), cfg):
         pass
     assert lapack_calls["dgttrs"] == 10_500
-    assert len(hops) == 222
+    assert len(hops) == 1
 
 
 @pytest.mark.parametrize(
-    "seq,t_max,gate",
-    [(SqrtGrowth(1.0), 40.0, 1e-5), (SykLike(1.0, 1.0), 5.0, 1e-3), (SykLike(1.0, 2.0), 5.0, 1e-3)],
+    "seq,t_max",
+    [(SqrtGrowth(1.0), 40.0), (SykLike(1.0, 1.0), 5.0), (SykLike(1.0, 2.0), 5.0)],
 )
-def test_measured_rate_stays_at_its_start(monkeypatch, seq, t_max, gate):
-    # ||A phi|| / ||phi|| is b_1 at phi = delta_n0 and stays so; the rule's
-    # rate, taken over the populated sites, drifts only where the packet's
-    # faint edges fall outside them (worst: 1.6e-6, 2.7e-4 and 3.1e-4)
-    from krylovchain.evolve import _CayleyStepper
+def test_measured_rate_stays_at_its_start(monkeypatch, lapack_calls, seq, t_max):
+    # the exact flow conserves ||A phi|| / ||phi||, which is b_1 at
+    # phi = delta_n0, so the rule takes it once, from the run's first state,
+    # and cuts every sample interval into the fewest steps no longer than
+    # its dt_acc; a refused step is redone at the same length
+    from krylovchain.evolve import _CayleyStepper, _Window
 
-    rate, rates = _CayleyStepper._rate, []
+    rate, steppers = _CayleyStepper._rate, []
+    accept, refused = _Window.accept, []
 
     def recorded(self, y, dy):
-        rates.append(rate(self, y, dy))
-        return rates[-1]
+        steppers.append(self)
+        return rate(self, y, dy)
+
+    def counted(self, y, y0, t):
+        ok = accept(self, y, y0, t)
+        if not ok:
+            refused.append(t)
+        return ok
 
     monkeypatch.setattr(_CayleyStepper, "_rate", recorded)
-    for _ in evolve(seq, EvolveConfig(t_max=t_max)):
+    monkeypatch.setattr(_Window, "accept", counted)
+    cfg = EvolveConfig(t_max=t_max)
+    for _ in evolve(seq, cfg):
         pass
-    assert len(rates) >= 100
-    assert max(abs(r / seq.b(1) - 1.0) for r in rates) <= gate
+    (stp,) = steppers
+    assert stp._dt_acc == stp._dt_acc_base / seq.b(1)
+    times = cfg.resolve_sample_times()
+    steps = sum(math.ceil((b - a) / stp._dt_acc) for a, b in zip(times, times[1:]))
+    assert lapack_calls["dgttrs"] == len(stp.weights) * (steps + len(refused))
 
 
 def test_factor_reused_across_rounding_level_steps(lapack_calls):
@@ -599,17 +604,16 @@ def test_factor_reused_across_rounding_level_steps(lapack_calls):
     w = _Window(SykLike(1.0, 1.0), cfg, None)
     w.resize(64)
     stp = _CayleyStepper(w, cfg)
-    dy = rhs(w.state(0.0), SykLike(1.0, 1.0))
-    y1 = stp._apply(h1, w.y, dy)
+    y1 = stp._apply(h1, w.y)
     assert lapack_calls["dgttrf"] == len(set(stp.weights))
     # the second length, and any within 1e-12 relative, runs on the first
     # one's factors and c, so every stage is the same exact Cayley factor
     for h in (h2, h1 * (1.0 + 5e-13)):
-        assert np.array_equal(stp._apply(h, w.y, dy), y1)
+        assert np.array_equal(stp._apply(h, w.y), y1)
     assert lapack_calls["dgttrf"] == len(set(stp.weights))
     # a step that really differs factors again
     h3 = h1 * (1.0 + 1e-9)
-    stp._apply(h3, w.y, dy)
+    stp._apply(h3, w.y)
     assert lapack_calls["dgttrf"] == 2 * len(set(stp.weights))
     for weight, (c, _) in stp._factors.items():
         assert c == 0.5 * weight * h3
@@ -995,7 +999,7 @@ def test_overflowing_coupling_ends_evolve_after_t0():
 
 
 def test_rate_scales_squares_past_the_float_range():
-    # R = ||A y|| / ||y|| over the populated sites is the plain formula, bit
+    # R = ||A y|| / ||y|| over the whole window is the plain formula, bit
     # for bit, while the squares stay finite, and scales by a power of two
     # where they would overflow
     from krylovchain.evolve import _CayleyStepper, _Window
