@@ -47,7 +47,7 @@ from .errors import (
     StiffnessError,
     WindowError,
 )
-from .evolve import evolve
+from .evolve import evolve, planned_solves
 from .fitting import eta_bound_check, fit_log_relation, select_window
 from .moments import MomentSequence, lanczos_to_moments, moments_to_lanczos
 from .observables import series_from_trajectory, spectral_density_finite
@@ -111,19 +111,16 @@ def _until_resource_limit(states, errors: list):
         errors.append(str(exc))
 
 
-def _run_one_point(args):
-    """Worker for one sweep point; returns (written paths, error messages)."""
-    doc, out_dir, formats, index, assignment = args
-    point_doc = apply_sweep_point(doc, assignment)
-    seq = build_sequence(point_doc["family"])
-    cfg = build_evolve_config(point_doc["evolve"])
+def _run_one_point(task):
+    """Worker for one built sweep point; returns (written paths, error messages)."""
+    family, out_dir, formats, index, assignment, seq, cfg = task
     label = _point_label(index, assignment)
     written = []
     errors = []
     series = series_from_trajectory(_until_resource_limit(evolve(seq, cfg), errors))
     out_dir = Path(out_dir)
     if len(series) > 0:
-        meta = {"family": point_doc["family"], "sweep_point": assignment}
+        meta = {"family": family, "sweep_point": assignment}
         if "csv" in formats:
             p = out_dir / f"{label}.csv"
             write_series_csv(p, series)
@@ -151,11 +148,21 @@ def _cmd_evolve(ns) -> int:
     out_dir = _out_dir(ns)
     points = sweep_points(cfg)
     jobs = ns.jobs if ns.jobs is not None else cfg.jobs
-    tasks = [(cfg.raw, str(out_dir), cfg.output.formats, i, pt) for i, pt in enumerate(points)]
+    # every point is built before any runs, so a failing build writes no series
+    tasks = []
+    for i, pt in enumerate(points):
+        point_doc = apply_sweep_point(cfg.raw, pt)
+        seq = build_sequence(point_doc["family"])
+        evolve_cfg = build_evolve_config(point_doc["evolve"])
+        tasks.append((point_doc["family"], str(out_dir), cfg.output.formats, i, pt, seq, evolve_cfg))
     if jobs > 1 and len(tasks) > 1:
+        # the costliest points start first (ties in index order), so that the
+        # longest does not wait for a short one; results go back by index
+        order = sorted(range(len(tasks)), key=lambda i: -planned_solves(*tasks[i][5:]))
         # a forked pool starts all its workers at once, so no more than there are points
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_one_point, tasks))
+            ran = dict(zip(order, pool.map(_run_one_point, [tasks[i] for i in order])))
+        results = [ran[i] for i in range(len(tasks))]
     else:
         results = [_run_one_point(t) for t in tasks]
     written = [Path(p) for paths, _ in results for p in paths]

@@ -294,10 +294,8 @@ def spectral_model_moments(model: SpectralModel, n: int, exact: bool = False):
         if abs(nu - round(nu)) > 0:
             raise ValueError("exact moments need integer nu")
         w0 = Fraction(model.omega0)  # binary floats are exact rationals
-        v = Fraction(1)
-        for k in range(1, 2 * n + 1):
-            v *= int(round(nu)) + k
-        return w0 ** (2 * n) * v
+        nu = int(round(nu))
+        return w0 ** (2 * n) * math.prod(range(nu + 1, nu + 2 * n + 1))
     ln = 2 * n * math.log(model.omega0) + log_gamma(1 + model.nu + 2 * n) - log_gamma(1 + model.nu)
     return math.exp(ln)
 

@@ -80,7 +80,9 @@ from .errors import (
 )
 from .sequences import LanczosSequence
 
-__all__ = ["WaveState", "EvolveConfig", "rhs", "active_window_policy", "evolve", "METHODS"]
+__all__ = [
+    "WaveState", "EvolveConfig", "rhs", "active_window_policy", "evolve", "planned_solves", "METHODS",
+]
 
 # Symmetric compositions of Cayley stages: name -> (stage weights, order).
 # "cayley4" is Suzuki's fourth-order five-stage composition, Phys. Lett. A
@@ -244,6 +246,19 @@ def _finite_prefix(b: np.ndarray) -> int:
     """Length of b up to and including its first non-finite entry."""
     bad = ~np.isfinite(b)
     return int(bad.argmax()) + 1 if bad.any() else len(b)
+
+
+def _equal_steps(remaining: float, dt: float) -> Tuple[float, int]:
+    """(h, k): the fewest k equal steps h no longer than dt that cover remaining.
+
+    Where remaining / dt reaches 1e13, or dt is not a number, the step is
+    dt itself and k is 0: that step is below the step floor (see
+    _check_step), so the run ends there.
+    """
+    if remaining < 1e13 * dt:
+        k = math.ceil(remaining / dt)
+        return remaining / k, k
+    return dt, 0
 
 
 def _check_step(t: float, h: float, t_target: float) -> None:
@@ -653,10 +668,8 @@ class _CayleyStepper:
             self.w.ensure_headroom()
             if h is None:
                 # the floor is checked after the interval's first growth, so
-                # that a coupling that overflows there is named first; a rule's
-                # step under remaining / 1e13, below the floor, is taken as it is
-                remaining, dt = t_target - t, self._dt_acc
-                h = remaining / math.ceil(remaining / dt) if remaining < 1e13 * dt else dt
+                # that a coupling that overflows there is named first
+                h = _equal_steps(t_target - t, self._dt_acc)[0]
                 _check_step(t, h, t_target)
             # _apply leaves y0 intact for a redo
             y0 = self.w.y
@@ -749,3 +762,29 @@ def evolve(
         if t_s > t:
             t = stepper.advance(t, t_s)
         yield window.state(t_s if abs(t - t_s) < 1e-12 else t)
+
+
+def planned_solves(seq: LanczosSequence, cfg: EvolveConfig) -> int:
+    """The stage solves that the Cayley step rule plans for evolve(seq, cfg).
+
+    The step rate is the one _CayleyStepper takes from the window the run
+    starts on, and each sample interval is cut into the steps that advance
+    cuts it into (see _equal_steps); each step solves one system per
+    stage.  A refused step is redone, so a run with r of them makes
+    r * stages more solves.  The plan ends at the first interval whose step
+    is below the step floor, where the run ends too.  rk45 solves no stage
+    system: its plan is 0.
+    """
+    if cfg.method == "rk45":
+        return 0
+    stepper = _CayleyStepper(_Window(seq, cfg, None), cfg)
+    times = cfg.resolve_sample_times()
+    steps = 0
+    for a, b in zip(times, times[1:]):
+        h, k = _equal_steps(b - a, stepper._dt_acc)
+        try:
+            _check_step(a, h, b)
+        except StiffnessError:
+            break
+        steps += k
+    return steps * len(stepper.weights)

@@ -12,7 +12,8 @@ is lost per coefficient.  Two arithmetic paths are provided:
   PrecisionExhaustedError when cancellation destroys positivity.
 
 The production conversion runs the quotient-difference (Chebyshev)
-recurrence on the even moments in O(K^2) operations; the
+recurrence on the even moments in O(K^2) operations, in integers for
+rational input (one gcd per row, see _qd_integer); the
 Hankel-determinant formula
 
     b_n^2 = D_{n-2} D_n / D_{n-1}^2,   D_{-1} = 1,
@@ -138,6 +139,37 @@ def _qd_recurrence(mu, count, is_bad):
     return b2, None
 
 
+def _qd_integer(mu, count):
+    """The qd recurrence on rational moments, in integers; returns [b_1^2 .. b_count^2].
+
+    The moments are scaled to integers, which leaves every b_n^2 as it
+    is.  Clearing the denominator r_{n-2}[0] from the recurrence gives
+    rows t_n proportional to r_n:
+
+        t_n[j] = s_{n-2}[0] s_{n-1}[j+1] - s_{n-1}[0] s_{n-2}[j+1],
+
+    with s_n = t_n / g_n, g_n the gcd of t_n's entries, s_{-1}[0] = 1 and
+    t_1 = s_0[1:].  Then b_n^2 = s_n[0] g_n / (s_{n-2}[0] s_{n-1}[0]).
+    While the earlier pivots are positive, r_n[0] has the sign of t_n[0],
+    so an invalid sequence fails at the same order n as in _qd_recurrence:
+    InvalidMomentSequenceError(n).
+    """
+    scale = math.lcm(*(v.denominator for v in mu[: count + 1]))
+    prev, cur = None, [v.numerator * (scale // v.denominator) for v in mu[: count + 1]]
+    b2 = []
+    for n in range(1, count + 1):
+        p0, c0 = 1 if prev is None else prev[0], cur[0]
+        row = cur[1:] if prev is None else [p0 * c - c0 * p for c, p in zip(cur[1:], prev[1:])]
+        if row[0] <= 0:
+            raise InvalidMomentSequenceError(n)
+        g = math.gcd(*row)
+        if g > 1:
+            row = [v // g for v in row]
+        b2.append(Fraction(row[0] * g, p0 * c0))
+        prev, cur = cur, row
+    return b2
+
+
 def moments_to_lanczos(
     moments: MomentSequence,
     count: int,
@@ -163,10 +195,7 @@ def moments_to_lanczos(
 
     use_exact = moments.exact and precision == "auto"
     if use_exact:
-        b2, fail = _qd_recurrence(moments.entries, count, lambda x: x <= 0)
-        if fail is not None:
-            raise InvalidMomentSequenceError(fail)
-        return LanczosConversion(b_squared=tuple(b2), mode="exact")
+        return LanczosConversion(b_squared=tuple(_qd_integer(moments.entries, count)), mode="exact")
 
     if precision == "double":
         b2, fail = _qd_recurrence(

@@ -588,10 +588,12 @@ def test_library_defaults_match_the_subcommands(tmp_path, capsys):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records each max_workers and maps in this process."""
+    """Stands in for ProcessPoolExecutor: records each max_workers and the point
+    indices in the order it receives them, and maps in this process."""
 
     def __init__(self):
         self.max_workers = []
+        self.received = []
 
     def __call__(self, max_workers):
         self.max_workers.append(max_workers)
@@ -604,6 +606,8 @@ class _SerialPool:
         return False
 
     def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.received += [task[3] for task in tasks]
         return map(fn, tasks)
 
 
@@ -615,6 +619,55 @@ def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch, capsy
     assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "100000"]) == 0
     assert pool.max_workers == [3]
     assert len(list((tmp_path / "o").glob("series_*.json"))) == 3
+
+
+def test_sweep_starts_the_costliest_point_first(tmp_path, monkeypatch, capsys):
+    # planned stage solves grow with t_max, so the pool receives the points
+    # as 1, 2, 0; paths, the manifest and the series stay in index order
+    doc = {**BASE_EVOLVE, "sweep": {"evolve.t_max": [1.0, 3.0, 2.0]}}
+    cfg = write_config(tmp_path / "c.json", doc)
+    pool = _SerialPool()
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    out = tmp_path / "o"
+    assert cli.main(["evolve", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 0
+    assert pool.received == [1, 2, 0]
+    names = [
+        f"series_{i:03d}_t_max={t}.{ext}" for i, t in enumerate((1.0, 3.0, 2.0)) for ext in ("csv", "json")
+    ]
+    assert capsys.readouterr().out.splitlines() == [str(out / name) for name in names]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [e["path"] for e in manifest["outputs"]] == names
+    for jobs in ("1", "2", "3"):
+        r = run_cli("evolve", "--config", cfg, "--out", str(tmp_path / jobs), "--jobs", jobs)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == [str(tmp_path / jobs / name) for name in names]
+        for name in names:
+            assert (tmp_path / jobs / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_sweep_reports_an_overflowing_point_alike_at_any_jobs(tmp_path, monkeypatch, capsys):
+    # the b_2 = inf point has no finite plan, so it ranks last at --jobs 2, and
+    # it still ends with exit 5, one message, no numpy warning and its t = 0 row
+    doc = {
+        "family": {"kind": "linear", "alpha": 1e308, "gamma": 1},
+        "evolve": {"t_max": 1, "samples": 2},
+        "sweep": {"family.alpha": [1e308, 1.0, 2.0]},
+    }
+    cfg = write_config(tmp_path / "c.json", doc)
+    pool = _SerialPool()
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "serial"), "--jobs", "2"]) == 5
+    assert pool.received == [2, 1, 0]
+    runs = {j: run_cli("evolve", "--config", cfg, "--out", str(tmp_path / j), "--jobs", j) for j in "12"}
+    for r in runs.values():
+        assert r.returncode == 5
+        assert r.stderr == "coupling b_2 = inf is not finite: the window cannot grow past site 1\n"
+    names = sorted(p.name for p in (tmp_path / "1").iterdir() if p.name != "manifest.json")
+    assert len(names) == 6
+    assert names == sorted(p.name for p in (tmp_path / "2").iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    assert runs["1"].stdout.replace(str(tmp_path / "1"), "") == runs["2"].stdout.replace(str(tmp_path / "2"), "")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "two"])

@@ -594,6 +594,63 @@ def test_measured_rate_stays_at_its_start(monkeypatch, lapack_calls, seq, t_max)
     assert lapack_calls["dgttrs"] == len(stp.weights) * (steps + len(refused))
 
 
+def _spectral_point(nu):
+    """The nu point of docs/examples/evolve_spectral_sweep.json: (sequence, config)."""
+    from krylovchain.closedforms import SpectralModel, spectral_model_sequence
+
+    seq = spectral_model_sequence(SpectralModel.with_rate(nu, 1.0), exact_count=96)
+    return seq, EvolveConfig(t_max=5.57, samples=140, rel_tol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "case,planned,refusals",
+    [("power_law", 10_500, 0), ("spectral_nu2", 1_960, 0), ("spectral_nu0", 980, 28)],
+)
+def test_planned_solves_match_the_run(monkeypatch, lapack_calls, case, planned, refusals):
+    # the plan cuts every sample interval as advance does, from the same
+    # rate; each refused step redoes one solve per stage on top of it
+    from krylovchain.evolve import _Window, planned_solves
+
+    if case == "power_law":
+        seq, cfg = PowerLaw(1.0, 0.5), EvolveConfig(t_max=1.35e4 ** 0.5, samples=150, rel_tol=1e-8)
+    else:
+        seq, cfg = _spectral_point(int(case[-1]))
+    accept, refused = _Window.accept, []
+
+    def counted(self, y, y0, t):
+        ok = accept(self, y, y0, t)
+        if not ok:
+            refused.append(t)
+        return ok
+
+    monkeypatch.setattr(_Window, "accept", counted)
+    assert planned_solves(seq, cfg) == planned
+    for _ in evolve(seq, cfg):
+        pass
+    assert len(refused) == refusals
+    assert lapack_calls["dgttrs"] - 7 * len(refused) == planned
+
+
+@pytest.mark.parametrize(
+    "seq,cfg",
+    [
+        # b_2 = inf: the rate is b_1 = 1e308, the step subnormal
+        (Linear(1e308, 1.0), EvolveConfig(t_max=1.0, samples=2)),
+        # every step below the floor, and a rate whose squares overflow
+        (Constant(1e20), EvolveConfig(t_max=1.0, samples=2)),
+        (Constant(1e300), EvolveConfig(t_max=1.0, samples=2)),
+        (SykLike(1.0, 1.0), EvolveConfig(t_max=1.0, method="rk45")),
+    ],
+    ids=["overflowing_coupling", "step_floor", "overflowing_rate", "rk45"],
+)
+def test_planned_solves_are_zero_where_the_run_takes_no_stage(seq, cfg):
+    from krylovchain.evolve import planned_solves
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert planned_solves(seq, cfg) == 0
+
+
 def test_factor_reused_across_rounding_level_steps(lapack_calls):
     from krylovchain.evolve import _CayleyStepper, _Window
 

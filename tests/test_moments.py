@@ -18,6 +18,8 @@ from krylovchain import (
     lanczos_to_moments,
     moments_to_lanczos,
 )
+from krylovchain.closedforms import SpectralModel, spectral_model_moments
+from krylovchain.moments import _qd_recurrence
 
 
 def test_catalan_moments_give_unit_chain():
@@ -258,6 +260,42 @@ def test_exact_round_trip_is_identical(b_sq):
     count = len(b_sq)
     m = lanczos_to_moments(b_squared=b_sq, count=count)
     assert list(moments_to_lanczos(m, count).b_squared) == b_sq
+
+
+def assert_matches_fraction_qd(entries, count):
+    """moments_to_lanczos gives the b^2 of the qd recurrence on Fractions, or fails at its order."""
+    b_sq, fail = _qd_recurrence(list(entries), count, lambda x: x <= 0)
+    m = MomentSequence.from_values(entries)
+    if fail is None:
+        assert moments_to_lanczos(m, count).b_squared == tuple(b_sq)
+    else:
+        with pytest.raises(InvalidMomentSequenceError) as info:
+            moments_to_lanczos(m, count)
+        assert info.value.order == fail
+
+
+@DETERMINISTIC
+@given(
+    st.lists(rationals, min_size=1, max_size=14),
+    st.data(),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+)
+def test_integer_qd_matches_fraction_qd(b_sq, data, shift):
+    # a valid sequence, and a copy with one moment past mu_0 moved by shift,
+    # which is often invalid
+    count = len(b_sq)
+    mu = list(lanczos_to_moments(b_squared=b_sq, count=count).entries)
+    assert_matches_fraction_qd(mu, count)
+    k = data.draw(st.integers(1, count))
+    mu[k] += shift * mu[k]
+    assert_matches_fraction_qd(mu, count)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_integer_qd_matches_fraction_qd_on_spectral_heads(nu):
+    # the exact heads of the spectral model, as spectral_model_sequence takes them
+    unit = SpectralModel(nu=nu, omega0=1.0)
+    assert_matches_fraction_qd([spectral_model_moments(unit, k, exact=True) for k in range(97)], 96)
 
 
 @DETERMINISTIC
