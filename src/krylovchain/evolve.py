@@ -5,46 +5,21 @@ The amplitudes phi_0..phi_{N-1} obey the hopping system
     d phi_n / dt = b_n phi_{n-1} - b_{n+1} phi_{n+1},
     phi_n(0) = delta_{n0},  b_0 = 0,
 
-whose generator is antisymmetric, so the exact flow conserves
-sum phi_n^2.  The active window [lo, N) is finite.  Its front grows on
-demand by one rule, to ceil(1.12 N) + guard_band sites: before a step
-when the trailing guard band holds more than 1 % of the truncation
-tolerance, and after a step whose guard band holds more than the
-tolerance, which is then redone on the grown window.  Its back follows a
-packet that moves away from the origin: after a step whose leading
-guard band holds at most 1 % of the tolerance, the longest leading run
-of at most that mass is dropped but for guard_band sites of it, when at
-least a quarter of the window goes and 64 sites or more stay.  Once the
-back has moved, the front grows before a step already at 0.1 % of the
-tolerance, a tenth of what the trim may drop: each implicit stage
-spreads the truncation at the front over the whole window, and at 1 %
-the leading quarter fills to the trim's own threshold, so the back
-stops following the packet.  A leading
-guard band mirrors the trailing one, so a packet that comes back grows
-the back by ceil(1.12 m) + guard_band - m sites for a window of m sites,
-before a step or by refusing and redoing one.  Sites below lo are zero
-in every WaveState, and the dropped mass shows in its norm_error.
+whose generator A is antisymmetric, so the exact flow conserves
+sum phi_n^2.  The active window [lo, N) is finite: its front grows ahead
+of the packet, and its back follows a packet that leaves the origin (see
+_Window).  Sites below lo are zero in every WaveState, and the dropped
+mass shows in its norm_error.
 
 Two stepper families are provided (METHODS names them):
 
 * Cayley compositions, "cayley6" (default), "cayley4" and "trapezoidal":
   the update is a product of Cayley stages (I - c A) phi' = (I + c A) phi,
-  with c = w h / 2 for the stage weights w of a symmetric composition.
-  "trapezoidal" is the single stage w = 1 (order 2), "cayley4" Suzuki's
-  five-stage composition (order 4) and "cayley6" a seven-stage
-  composition of order 6.  The step rule's error constant C (see
-  _CayleyStepper) is 1/12, 9.3e-4 and 2.6e-4.  A has no diagonal, so it
-  couples even sites only to odd ones, and each stage is solved on the
-  even sites alone: a symmetric positive-definite tridiagonal system of
-  ceil(N/2) sites (the Schur complement of the odd sites), solved for the
-  increment of the even sites.
-  Because A is antisymmetric every stage is exactly orthogonal, so the
-  norm is conserved to rounding regardless of step size, and the step is
-  not limited by the largest hopping in the window (the fast frontier
-  modes are unpopulated).  The step size follows the solution's
-  timescale ||A phi|| / ||phi||.  The exact flow conserves it, so it is
-  taken once per run, from the state the run starts in (see
-  _CayleyStepper).
+  with c = w h / 2 for the stage weights w of a symmetric composition of
+  order 6, 4 or 2 (see _COMPOSITIONS).  Every stage is exactly
+  orthogonal, so the norm is conserved to rounding whatever the step, and
+  the step follows the solution's timescale rather than the largest
+  hopping in the window (see _CayleyStepper).
 * "rk45": explicit Dormand-Prince 5(4), run by scipy.integrate.RK45 with
   its per-component error test and the step bounded by dt <= 0.5/b_max
   for stability.  Kept as the cross-check route; on rapidly growing
@@ -58,7 +33,7 @@ windows are never accumulated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -215,25 +190,25 @@ def _mass(v: np.ndarray) -> float:
 def _stage_buffers(off: np.ndarray, rows: int) -> tuple:
     """The work arrays of the Cayley stages on a window with couplings off, and their views.
 
-    Returns (odd, even).  odd = (p, q, cp, cq, o, o_q, u, u_q): the
+    Returns (odd, e, r).  odd = (p, q, cp, cq, o, o_q, u, u_q): the
     couplings p and q of A_oe (see _CayleyStepper), then buffers for c p
-    and c q and for the odd sites o and u, with x_q = x[:len(q)].  even
-    holds two buffers of `rows` floats, the rows of S, for e and for the
-    right-hand side of the solve; they trade places after each solve,
-    since e' = e + delta is formed in place of delta.  Each is the tuple
-    (all, sites, lo, hi, q) of its rows, its ceil(N/2) even sites, the
-    sites j and j + 1 that meet c p_j and c q_j, and its first len(q)
-    floats.  The rows past the sites pad S up to 3 rows; they start at
-    zero and stay so, since S's padding rows are identity rows coupled to
-    none.  There is no scratch buffer: a product goes to whichever buffer
-    is dead at that point of the stage.
+    and c q and for the odd sites o and u, with x_q = x[:len(q)].  e =
+    (e, e_lo, e_hi) holds the ceil(N/2) even sites and their sites j and
+    j + 1 that meet c p_j and c q_j.  r = (r, sites, lo, hi, q) holds the
+    `rows` rows of S, for the right-hand side and the increment of the
+    solve, with the same views and its first len(q) floats.  The rows past
+    the sites pad S up to 3 rows; they start at zero and stay so, since
+    S's padding rows are identity rows coupled to none.  There is no
+    scratch buffer: a product goes to whichever buffer is dead at that
+    point of the stage.
     """
     odd, nq = (len(off) + 1) // 2, len(off) // 2
-    cp, cq, o, u = (np.empty(k) for k in (odd, nq, odd, odd))
-    even = [np.zeros(rows) for _ in range(2)]
+    cp, cq, o, u, e = (np.empty(k) for k in (odd, nq, odd, odd, nq + 1))
+    r = np.zeros(rows)
     return (
         (off[0::2], off[1::2], cp, cq, o, o[:nq], u, u[:nq]),
-        [(a, a[: nq + 1], a[:odd], a[1 : nq + 1], a[:nq]) for a in even],
+        (e, e[:odd], e[1:]),
+        (r, r[: nq + 1], r[:odd], r[1 : nq + 1], r[:nq]),
     )
 
 
@@ -278,11 +253,12 @@ class _Window:
 
     y holds phi_lo..phi_{n-1}; b holds b_1..b_n from site 0 on, so the
     back edge moves without evaluating couplings again, and `off` is the
-    couplings b_{lo+1}..b_{n-1} inside the window.  keep is the mass the
-    trim may drop, 1 % of truncation_tol.  The guard-band sums that
-    accept takes on a step's y serve its trim and the next step's
-    ensure_headroom; every change of y or of an edge assigns y, which
-    drops them.
+    couplings b_{lo+1}..b_{n-1} inside the window.  The front grows ahead
+    of the packet and the back follows it (see ensure_headroom, accept and
+    trim).  keep is the mass the trim may drop, 1 % of truncation_tol.
+    The guard-band sums that accept takes on a step's y serve its trim and
+    the next step's ensure_headroom; every change of y or of an edge
+    assigns y, which drops them.
     """
 
     def __init__(self, seq: LanczosSequence, cfg: EvolveConfig, initial: Optional[np.ndarray]):
@@ -444,10 +420,7 @@ class _CayleyStepper:
 
     A stage of weight w over step h is the Cayley factor
     (I - cA)^-1 (I + cA) with c = w h / 2; the update is the product of
-    the stages of cfg.method (see _COMPOSITIONS).  Every factor is exactly
-    orthogonal because A is antisymmetric, so the norm is conserved to
-    rounding and the step is not limited by the largest hopping in the
-    window (the fast frontier modes are unpopulated).
+    the stages of cfg.method (see _COMPOSITIONS).
 
     A stage runs on the even sites e and odd sites o of phi.  With
     p_j = b_{2j+1} and q_j = b_{2j+2}, A maps even to odd sites by
@@ -462,15 +435,7 @@ class _CayleyStepper:
     The increment form keeps the stage orthogonal to rounding; the form
     2 (I - cA)^-1 y - y carried over to S does not (norm error 1e-12
     against 1e-15 after 2,000 steps on a 40-site chain).  S is built from
-    the same rounded c p and c q as the products.  Its diagonal
-    1 + (cp)^2 + (cq)^2 is summed in long double and rounded once:
-    rounding each square in double made the norm drift by ~2e-15 a step
-    on windows where c b reaches ~1e3.  phi is split once per step and
-    interleaved once at its end; in between, the stages run in buffers
-    made once per window and sample interval (see _stage_buffers).
-    Windows of at most 4 sites take the same path: S, short of the 3 rows
-    LAPACK's gttrf wrapper needs, is padded with identity rows and the
-    right-hand side with zeros.
+    the same rounded c p and c q as the products (see _half_s).
 
     The stages share A, so the update of order p equals exp(hA) up to
     h^(p+1) A^(p+1) C with C = |sum w^(p+1)| / ((p+1) 2^p), from
@@ -493,19 +458,16 @@ class _CayleyStepper:
     collapsing the step to the inverse of the largest hopping in the
     window.  Each sample interval is cut into the fewest equal steps no
     longer than h, so steps keep one length and share their LU
-    factorizations.  A factorization is reused while its c matches the
-    stage's to 1e-12 relative, and the stage then runs with the cached c,
-    so every stage stays an exact Cayley factor and the clock is off by at
-    most 1e-12 h per step.  Within an interval the clock is start + k h
-    rather than a running sum, so the interval's steps keep one
-    bit-identical length however far t is from 0.  The cache holds one
-    factorization per distinct stage weight, on the current window
-    [lo, n).  A growth of the front keeps it: the leading rows of a
-    tridiagonal LU do not depend on rows added below them, so a set whose
-    c is the stage's own, bit for bit, is extended by factoring the new
-    rows alone (see _factor), and equals a fresh factorization of the
-    grown S.  A move of the back, by a trim or a growth, changes the
-    leading rows, so every stage is then factored from row 0.
+    factorizations.  Within an interval the clock is start + k h rather
+    than a running sum, so the interval's steps keep one bit-identical
+    length however far t is from 0.
+
+    Each cache carries the window (lo, n) it was built on, and is checked
+    against it where it is used.  _factors maps each distinct stage weight
+    to one record (c, bands, (lo, n)), which _factor reuses, extends or
+    replaces.  _stages holds ((lo, n), buffers) with the buffers of
+    _stage_buffers, made again on a new window and dropped at the end of
+    each sample interval.
     """
 
     _SAFETY = 3.0
@@ -514,10 +476,8 @@ class _CayleyStepper:
         self.w = window
         self.cfg = cfg
         self.weights, order = _COMPOSITIONS[cfg.method]
-        self._factors = {}  # stage weight -> (c, bands) on the window (lo, n) _factors_at
-        self._factors_at = None
-        self._stale, self._stale_at = {}, None  # sets of the last window not yet extended
-        self._stages, self._stages_at = None, None  # _stage_buffers on the window _stages_at
+        self._factors = {}
+        self._stages = None
         tol = cfg.abs_tol + cfg.rel_tol
         inv_const = (order + 1) * 2 ** order / abs(sum(w ** (order + 1) for w in self.weights))
         self._dt_acc_base = (inv_const * tol) ** (1.0 / (order + 1)) / self._SAFETY
@@ -528,8 +488,13 @@ class _CayleyStepper:
 
         bands = (dl, d, du, du2, ipiv): dgttrf's LU bands of S / 2 (padded
         with identity rows up to 3 rows), that is its sub-, main and
-        super-diagonal, its second superdiagonal and its pivots.  c' is
-        the cached c when it matches c to rounding.
+        super-diagonal, its second superdiagonal and its pivots.
+
+        The weight's record is reused on its own window when its c
+        matches c to 1e-12 relative, and c' is then the cached c: the
+        stage stays an exact Cayley factor and the clock is off by at most
+        1e-12 h per step.  Otherwise c' = c and the record is replaced, so
+        the cache holds one set per weight.
 
         After a growth of the front from k rows of S to more, with lo
         unchanged, a set whose c is the stage's own, bit for bit, is
@@ -544,36 +509,33 @@ class _CayleyStepper:
         rows; otherwise, for padded S and after any move of lo, S is
         factored from row 0.
         """
-        lo, n = self.w.lo, self.w.n
-        if (lo, n) != self._factors_at:
-            # the sets of the last window wait for their weights, which run
-            # in this same step, and are dropped one by one as they extend
-            self._stale, self._stale_at = self._factors, self._factors_at
-            self._factors, self._factors_at = {}, (lo, n)
-        hit = self._factors.get(weight)
-        if hit is not None and abs(c - hit[0]) <= 1e-12 * abs(c):
-            return hit
-        old = self._stale.pop(weight, None)
+        at = (self.w.lo, self.w.n)
+        old = self._factors.get(weight)
         row = 0
-        if old is not None and old[0] == c and self._stale_at[0] == lo:
-            k = (self._stale_at[1] - lo + 1) // 2
-            if k >= 3 and (n - lo + 1) // 2 > k and old[1][4][k - 2] == k - 1:  # ipiv is 1-based
+        if old is not None:
+            c_old, bands_old, (lo, n) = old
+            if (lo, n) == at and abs(c - c_old) <= 1e-12 * abs(c):
+                return c_old, bands_old
+            k = (n - lo + 1) // 2  # the rows of the record's S
+            grown = lo == at[0] and (at[1] - lo + 1) // 2 > k >= 3
+            if grown and c_old == c and bands_old[4][k - 2] == k - 1:  # ipiv is 1-based
                 row = k - 2
         d, s = self._half_s(c, row)
         du = s
         if row:
             # the row as the elimination left it, before its own step
-            d[0] = old[1][1][row]
+            d[0] = bands_old[1][row]
             du = s.copy()
-            du[0] = old[1][2][row]
+            du[0] = bands_old[2][row]
         *bands, info = lapack.dgttrf(s, d, du)
         if info != 0:
             raise RuntimeError(f"dgttrf failed with info={info}")
         if row:
             bands[4] += row
-            bands = [np.concatenate((head[:row], tail)) for head, tail in zip(old[1], bands)]
-        hit = self._factors[weight] = (c, tuple(bands))
-        return hit
+            bands = [np.concatenate((head[:row], tail)) for head, tail in zip(bands_old, bands)]
+        bands = tuple(bands)
+        self._factors[weight] = (c, bands, at)
+        return c, bands
 
     def _half_s(self, c: float, row: int):
         """Rows row.. of S / 2 as (d, s): its diagonal and its off-diagonal.
@@ -581,9 +543,12 @@ class _CayleyStepper:
         S is built from cp_j = c b_{2j+1} and cq_j = c b_{2j+2}, which the
         stage forms again from c for its products: a cached pair per
         weight would add N floats of peak memory per weight.  The diagonal
-        1 + cp_j^2 + cq_{j-1}^2 is summed in long double and rounded once.
-        Halving S is exact and folds the stage's factor 2 into the solve.
-        From row 0, S has at least 3 rows, padded with identity rows.
+        1 + cp_j^2 + cq_{j-1}^2 is summed in long double and rounded once:
+        rounding each square in double made the norm drift by ~2e-15 a
+        step on windows where c b reaches ~1e3.  Halving S is exact and
+        folds the stage's factor 2 into the solve.  From row 0, S has at
+        least 3 rows, LAPACK's gttrf wrapper's least, padded with identity
+        rows.
         """
         off = self.w.off
         cp, cq = c * off[2 * row :: 2], c * off[2 * row + 1 :: 2]
@@ -609,22 +574,19 @@ class _CayleyStepper:
         the numpy expression in its comment, so each stage keeps its bits.
         """
         at = (self.w.lo, self.w.n)
-        if self._stages_at != at:
-            self._stages = self._stages_at = None
+        if self._stages and self._stages[0] != at:
+            self._stages = None
         factors = [self._factor(weight, 0.5 * weight * h) for weight in self.weights]
         if self._stages is None:
             rows = len(factors[0][1][1])  # S's rows: the length of its diagonal band
-            self._stages = _stage_buffers(self.w.off, rows)
-            self._stages_at = at
-        mul, add, sub = np.multiply, np.add, np.subtract
-        (p, q, cp, cq, o, o_q, u, u_q), (e, r) = self._stages
-        e[1][:] = y[0::2]
+            self._stages = (at, _stage_buffers(self.w.off, rows))
+        mul, sub = np.multiply, np.subtract
+        (p, q, cp, cq, o, o_q, u, u_q), (e, e_lo, e_hi), (r, r_sites, r_lo, r_hi, r_q) = self._stages[1]
+        e[:] = y[0::2]
         o[:] = y[1::2]
         for c, (dl, d, du, du2, ipiv) in factors:
             mul(p, c, cp)  # the values S was built from
             mul(q, c, cq)
-            _, e_sites, e_lo, e_hi, e_q = e
-            r_all, r_sites, r_lo, r_hi, r_q = r
             # u = o + c A_oe e = cp e_lo + o - cq e_hi, with cq e_hi in r
             mul(cp, e_lo, u)
             u += o
@@ -632,23 +594,23 @@ class _CayleyStepper:
             u_q -= r_q
             # (S / 2) delta = c A_eo u, whose row j is cq_{j-1} u_{j-1} - cp_j u_j,
             # with cp u in o
-            r_all[0] = 0.0
+            r[0] = 0.0
             mul(cq, u_q, r_hi)
             mul(cp, u, o)
             sub(r_lo, o, r_lo)
-            # the solve overwrites r_all: a contiguous float64 array is not copied
-            info = lapack.dgttrs(dl, d, du, du2, ipiv, r_all, overwrite_b=True)[1]
+            # the solve overwrites r: a contiguous float64 array is not copied
+            info = lapack.dgttrs(dl, d, du, du2, ipiv, r, overwrite_b=True)[1]
             if info != 0:
                 raise RuntimeError(f"dgttrs failed with info={info}")
-            # e' = e + delta, formed in r, then o' = u + c A_oe e', with cq e'_hi in e
-            add(r_sites, e_sites, r_sites)
-            mul(cp, r_lo, o)
+            # e' = e + delta, the same bits as delta + e, then o' = u + c A_oe e',
+            # with cq e'_hi in r
+            e += r_sites
+            mul(cp, e_lo, o)
             o += u
-            mul(cq, r_hi, e_q)
-            o_q -= e_q
-            e, r = r, e
+            mul(cq, e_hi, r_q)
+            o_q -= r_q
         out = np.empty(len(y))
-        out[0::2] = e[1]
+        out[0::2] = e
         out[1::2] = o
         return out
 
@@ -682,15 +644,8 @@ class _CayleyStepper:
                 t = start + k * h
         # no buffers between sample intervals, where the caller reduces the
         # state and the next interval often starts by growing the window
-        self._stages = self._stages_at = None
+        self._stages = None
         return t
-
-
-class _TrapezoidalStepper(_CayleyStepper):
-    """The one-stage Cayley stepper (order 2), whatever cfg.method names."""
-
-    def __init__(self, window: _Window, cfg: EvolveConfig):
-        super().__init__(window, replace(cfg, method="trapezoidal"))
 
 
 class _RK45Stepper:
@@ -699,9 +654,10 @@ class _RK45Stepper:
     The error test is scipy's per component, with scale
     abs_tol + rel_tol |phi_i|, and max_step = 0.5 / b_max over the window
     keeps the explicit step stable.  Every step still goes through
-    _Window.accept; whenever either edge of the window moves, before a
-    step, after a refused one or by a trim, the solver is rebuilt from the
-    window's state.  The step size carries over to the next sample
+    _Window.accept.  The solver carries the window (lo, n) it was built
+    on, and is rebuilt from the window's state when either edge has moved:
+    before a step, by a trim, or after a refused step, which always moves
+    an edge or raises.  The step size carries over to the next sample
     interval as first_step.
     """
 
@@ -714,10 +670,10 @@ class _RK45Stepper:
         """Advance to t_target; returns the time reached."""
         from scipy.integrate import RK45  # lazy: at module level it slows `import krylovchain`
 
-        w, solver, built = self.w, None, None
+        w, built = self.w, None
         while t < t_target:
             w.ensure_headroom()
-            if solver is None or (w.lo, w.n) != built:
+            if (w.lo, w.n) != built:
                 max_step = 0.5 / max(np.max(w.b, initial=0.0), 1e-300)
                 _check_step(t, max_step, t_target)
                 first = None if self.h is None else min(self.h, t_target - t)
@@ -734,8 +690,6 @@ class _RK45Stepper:
             self.h = solver.h_abs
             if w.accept(solver.y, y0, t):
                 t = solver.t
-            else:
-                solver = None
         return t
 
 

@@ -318,16 +318,46 @@ class TestTable1:
         ck, _ = table1_reference("log_corrected_linear", {"alpha": 1.0}, 4.0)
         assert ck == pytest.approx(math.exp(4.0))
 
+    @pytest.mark.parametrize(
+        "family,params,eta,times",
+        [
+            ("linear", {"alpha": 1.0}, 1.0, (1.0, 10.0, 300.0)),
+            ("log_corrected_linear", {"alpha": 1.0}, 1.0, (1.0, 1e2, 1e5)),
+            ("log_growth", {"alpha": 1.0}, 1.0, (1e2, 1e10, 1e50, 1e150)),
+            ("constant", {"b": 1.5}, 1.0, (1e2, 1e10, 1e50, 1e150)),
+            ("power_law", {"alpha": 1.0, "delta": 0.5}, 0.5, (1e2, 1e10, 1e50, 1e150)),
+            ("power_log", {"alpha": 1.0, "delta": 0.5, "sign": 1}, 0.5, (1e2, 1e10, 1e50, 1e150)),
+            ("power_log", {"alpha": 1.0, "delta": 0.25, "sign": -1}, 0.75, (1e2, 1e10, 1e50, 1e150)),
+        ],
+    )
+    def test_entropy_slope_tends_to_eta(self, family, params, eta, times):
+        # S_K / ln C_K -> eta at large t: 1, or 1 - delta for the power laws.
+        # It is eta at every t but for log growth and power-log, whose
+        # ln ln t term closes the gap only as 1 / ln t (1.7e-2 and 8e-3 at
+        # t = 1e150); the times stay where C_K is a finite float
+        gaps = []
+        for t in times:
+            ck, sk = table1_reference(family, params, t)
+            gaps.append(abs(sk / math.log(ck) - eta))
+        assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] <= 0.02, gaps
+
     def test_unknown_family(self):
         with pytest.raises(UnsupportedFamilyError):
             table1_reference("quadratic", {}, 1.0)
 
 
 def test_series_from_profile_matches_observables():
-    times = np.linspace(0.0, 2.0, 10)
+    # the eta = 1 closed forms of C_K and S_K against the sums over the
+    # profile sech^2 tanh^2n; the sums' rounding grows with the sites they
+    # span, to 1e-14 relative at t = 3 and 4e-12 at t = 6
+    times = np.linspace(0.0, 3.0, 13)
     series = series_from_profile(lambda t, n: syk_profile(1.0, 1.0, t, n), times)
-    for t, ck, sk in zip(series.times, series.c_k, series.s_k):
-        assert ck == pytest.approx(math.sinh(t) ** 2, rel=1e-10, abs=1e-10)
+    assert (series.c_k[0], series.s_k[0]) == syk_eta1_observables(1.0, 0.0) == (0.0, 0.0)
+    for t, ck, sk in zip(times[1:], series.c_k[1:], series.s_k[1:]):
+        want_c, want_s = syk_eta1_observables(1.0, t)
+        assert ck == pytest.approx(want_c, rel=1e-12, abs=0.0), t
+        assert sk == pytest.approx(want_s, rel=1e-12, abs=0.0), t
     assert max(series.norm_error) < 1e-10
 
 

@@ -183,14 +183,19 @@ def test_rk45_cross_check():
 
 def test_import_leaves_scipy_integrate_and_special_unloaded():
     # both load on first use (rk45, closed forms); importing them eagerly
-    # would slow every `import krylovchain`
+    # would slow every `import krylovchain`.  The top-level scipy and mpmath
+    # do load: the benchmark's set-up probe reads their versions from
+    # sys.modules right after `import krylovchain`
     lazy = "{'scipy.integrate', 'scipy.special'}"
-    code = f"import sys, krylovchain; print(sorted({lazy} & set(sys.modules)))"
+    code = (
+        f"import sys, krylovchain; print(sorted({lazy} & set(sys.modules)),"
+        " [m for m in ('scipy', 'mpmath') if m in sys.modules])"
+    )
     path = (str(Path(krylovchain.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.strip() == "[] ['scipy', 'mpmath']"
 
 
 def test_time_reversal():
@@ -209,16 +214,15 @@ def test_time_reversal():
 def test_phi0_parity():
     # phi_0(t) is even in t; checked by a genuine small negative-time
     # integration with the low-level Cayley update of each composition
-    from krylovchain.evolve import _CayleyStepper, _TrapezoidalStepper, _Window
+    from krylovchain.evolve import _CayleyStepper, _Window
 
     for method in ("trapezoidal", "cayley4"):
         cfg = EvolveConfig(t_max=1.0, samples=2, method=method)
-        stepper = _TrapezoidalStepper if method == "trapezoidal" else _CayleyStepper
         runs = {}
         for sign in (+1.0, -1.0):
             w = _Window(SqrtGrowth(1.0), cfg, None)
             w.resize(80)
-            stp = stepper(w, cfg)
+            stp = _CayleyStepper(w, cfg)
             for _ in range(500):
                 w.y = stp._apply(sign * 1e-3, w.y)
             runs[sign] = w.y.copy()
@@ -377,9 +381,35 @@ def test_factor_cache_bounded_to_current_window():
         w.resize(n)
         w.y = stp._apply(h, w.y)
         assert len(stp._factors) <= len(set(stp.weights))
-        for weight, (c, bands) in stp._factors.items():
+        for weight, (c, bands, at) in stp._factors.items():
             assert c == 0.5 * weight * h
             assert len(bands[1]) == (w.n + 1) // 2
+            assert at == (w.lo, w.n)
+
+
+def test_caches_are_stamped_with_the_window_across_back_moves(monkeypatch):
+    # b_n = sqrt(n) to t = 40 trims the back to site 1,254 and grows both
+    # edges on the way: after every update the cache holds one factor set per
+    # distinct weight and the stage buffers, each on the window it was used on
+    from krylovchain.evolve import _CayleyStepper
+
+    apply, windows = _CayleyStepper._apply, []
+
+    def checked(self, h, y):
+        out = apply(self, h, y)
+        at = (self.w.lo, self.w.n)
+        assert self._factors.keys() == set(self.weights)
+        assert all(record[2] == at for record in self._factors.values())
+        assert self._stages[0] == at
+        windows.append(at)
+        return out
+
+    monkeypatch.setattr(_CayleyStepper, "_apply", checked)
+    for _ in evolve(SqrtGrowth(1.0), EvolveConfig(t_max=40.0)):
+        pass
+    los = [lo for lo, _ in windows]
+    assert max(los) == los[-1] == 1254
+    assert len(set(los)) > 2 and len(set(windows)) > len(set(los))
 
 
 class _CountingLapack:
@@ -451,13 +481,13 @@ def test_factors_extend_across_window_growth(monkeypatch, seq, h, pivots):
         k, big = (n0 + 1) // 2, (w.n + 1) // 2
         want = []
         for weight in dict.fromkeys(stp.weights):
-            c, bands = old[weight]
+            c, bands, _ = old[weight]
             swapped |= bands[4][k - 2] != k - 1  # ipiv is 1-based
             extends = big > k and c == 0.5 * weight * hk and bands[4][k - 2] == k - 1
             want.append(big - (k - 2) if extends else big)
         assert rows == want
         seen.update((w.n % 2, r < big) for r in rows)
-        for weight, (c, bands) in stp._factors.items():
+        for weight, (c, bands, _) in stp._factors.items():
             assert c == 0.5 * weight * hk
             fresh = _CayleyStepper(w, cfg)._factor(weight, c)[1]
             assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(bands, fresh))
@@ -672,7 +702,7 @@ def test_factor_reused_across_rounding_level_steps(lapack_calls):
     h3 = h1 * (1.0 + 1e-9)
     stp._apply(h3, w.y)
     assert lapack_calls["dgttrf"] == 2 * len(set(stp.weights))
-    for weight, (c, _) in stp._factors.items():
+    for weight, (c, _, _) in stp._factors.items():
         assert c == 0.5 * weight * h3
 
 

@@ -1,7 +1,6 @@
 """Moment <-> coefficient transformations and the Hankel oracle."""
 
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -165,12 +164,34 @@ def test_insufficient_entries():
         moments_to_lanczos(m, 3)
 
 
-def test_moments_visit_only_the_chains_sites():
+class _CountingRange:
+    """range, counting the items of every range made after the first."""
+
+    def __init__(self, budget):
+        self.first, self.rest, self.budget = None, 0, budget
+
+    def __call__(self, *args):
+        r = range(*args)
+        if self.first is None:
+            self.first = len(r)
+        else:
+            self.rest += len(r)
+            assert self.rest <= self.budget, f"more than {self.budget} site updates"
+        return r
+
+
+def test_moments_visit_only_the_chains_sites(monkeypatch):
     # b_2 = 0 ends every path at site 1, so 20,000 moments take 40,000 site
-    # updates rather than the 4e8 of the full triangle of sites
-    start = time.perf_counter()
+    # updates, one per power, rather than the ~2e8 of the full triangle of
+    # sites.  The first range is the powers, each later one a power's sites;
+    # the budget is checked as they are made, so a loop over the triangle
+    # fails within its first powers
+    import krylovchain.moments as module
+
+    counted = _CountingRange(budget=40_000)
+    monkeypatch.setattr(module, "range", counted, raising=False)
     m = lanczos_to_moments(b=[1.0], count=20_000)
-    assert time.perf_counter() - start < 2.0
+    assert (counted.first, counted.rest) == (40_000, 40_000)
     assert m.entries == (Fraction(1),) * 20_001
 
 
