@@ -52,7 +52,7 @@ from .sequences import (
     SykLike,
 )
 
-__all__ = ["RunConfig", "parse_config", "build_section", "build_sequence", "CONFIG_SCHEMA_DOC"]
+__all__ = ["RunConfig", "parse_config", "build_section", "build_sequence"]
 
 _FAMILIES = {
     "linear": Linear,
@@ -341,14 +341,3 @@ def build_sequence(family: Dict[str, Any]) -> LanczosSequence:
 
 def build_evolve_config(evolve_section: Dict[str, Any]) -> EvolveConfig:
     return build_section("evolve", evolve_section)
-
-
-CONFIG_SCHEMA_DOC = {
-    "family": {
-        "kind": sorted(_FAMILY_KEYS),
-        "params": {k: sorted(v) for k, v in _FAMILY_KEYS.items()},
-    },
-    **{head: sorted(_params(cls)) for head, cls in _SECTIONS.items()},
-    "sweep": "object mapping dotted axis paths (family.*, evolve.*) to value lists",
-    "jobs": "integer >= 1",
-}

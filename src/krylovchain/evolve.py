@@ -254,11 +254,13 @@ class _Window:
     y holds phi_lo..phi_{n-1}; b holds b_1..b_n from site 0 on, so the
     back edge moves without evaluating couplings again, and `off` is the
     couplings b_{lo+1}..b_{n-1} inside the window.  The front grows ahead
-    of the packet and the back follows it (see ensure_headroom, accept and
-    trim).  keep is the mass the trim may drop, 1 % of truncation_tol.
-    The guard-band sums that accept takes on a step's y serve its trim and
-    the next step's ensure_headroom; every change of y or of an edge
-    assigns y, which drops them.
+    of the packet and the back follows it, by two rules, each in one
+    place: accept refuses a step that leaves more than truncation_tol in
+    either guard band, and ensure_headroom, run before every attempt,
+    grows an edge whose band holds more than keep, 1 % of truncation_tol
+    (the front: 0.1 % once lo > 0).  keep is also the mass the trim may
+    drop.  _masses holds the (tail, head) sums of the step accept last
+    tried, for the next ensure_headroom; a trim drops them.
     """
 
     def __init__(self, seq: LanczosSequence, cfg: EvolveConfig, initial: Optional[np.ndarray]):
@@ -282,19 +284,11 @@ class _Window:
             if initial is not None:
                 raise CouplingOverflowError(m, float(self.b[m - 1]))
             self.y, self.b = self.y[:m], self.b[:m]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self._y
-
-    @y.setter
-    def y(self, y: np.ndarray) -> None:
-        self._y = y
-        self._masses = None  # (tail_mass, head_mass) of y, as accept took them
+        self._masses = None
 
     @property
     def n(self) -> int:
-        return self.lo + len(self._y)
+        return self.lo + len(self.y)
 
     @property
     def off(self) -> np.ndarray:
@@ -303,11 +297,11 @@ class _Window:
     def tail_mass(self) -> float:
         if self.b[-1] == 0.0:
             return 0.0  # no coupling leaves the window: nothing is truncated
-        return _mass(self._y[-self.cfg.guard_band :])
+        return _mass(self.y[-self.cfg.guard_band :])
 
     def head_mass(self) -> float:
         """The squared mass in the leading guard band; 0 at lo = 0, where b_0 = 0 holds it in."""
-        return _mass(self._y[: self.cfg.guard_band]) if self.lo else 0.0
+        return _mass(self.y[: self.cfg.guard_band]) if self.lo else 0.0
 
     def resize(self, new_n: int) -> None:
         """Grow to new_n sites, or to fewer where a coupling is not finite.
@@ -356,14 +350,18 @@ class _Window:
         cut = min(run - g, m - 64)
         self.y = self.y[cut:]
         self.lo += cut
+        self._masses = None
 
     def ensure_headroom(self) -> None:
         """Grow ahead of the front, and behind the back, so steps rarely need redoing.
 
-        The back grows when its leading guard band holds more than keep.
-        The front grows when its trailing guard band holds more than keep
-        while lo = 0, and more than a tenth of keep once the back has
-        moved.  Each implicit stage spreads the truncation at the front
+        Every growth happens here, before a step and before the redo of a
+        refused one.  The guard-band sums are those of the step accept last
+        tried, taken or refused, or of y when there are none (the first
+        step, or after a trim).  The back grows when its leading band holds
+        more than keep.  The front grows when its trailing band holds more
+        than keep while lo = 0, and more than a tenth of keep once the back
+        has moved.  Each implicit stage spreads the truncation at the front
         over the whole window in one step; at keep, the leading quarter of
         a trimmed window fills to keep too (1.9e-14 on b_n = sqrt(n) at
         t = 93, where the closed form holds 6.7e-56), and the trim stops
@@ -373,6 +371,7 @@ class _Window:
         sites instead of 476,921.
         """
         tail, head = self._masses or (self.tail_mass(), self.head_mass())
+        self._masses = None
         if tail > (0.1 * self.keep if self.lo else self.keep):
             self.resize(_grown(self.n, self.cfg))
         if head > self.keep:
@@ -382,25 +381,21 @@ class _Window:
         """Take the step y from y0 at t unless a guard band holds more than truncation_tol.
 
         An accepted step may trim the back (see trim).  A refused step puts
-        back y0 and grows the window at each overfull edge, zero-padded, so
-        the caller redoes it; a front at the cap raises ResourceLimitError
-        reporting t.
+        back y0 and leaves the window as it was: the sums it leaves make the
+        next ensure_headroom grow the overfull edge before the caller redoes
+        the step.  A front at the cap raises ResourceLimitError reporting t.
         """
         self.y = y
         tail, band = self.tail_mass(), _mass(y[: self.cfg.guard_band])
         head = band if self.lo else 0.0
+        self._masses = (tail, head)
         front, back = tail > self.cfg.truncation_tol, head > self.cfg.truncation_tol
         if not (front or back):
-            self._masses = (tail, head)
             self.trim(band)
             return True
         if front and self.n >= self.cap:
             raise ResourceLimitError(t, self.cfg.max_active_size)
         self.y = y0
-        if back:
-            self.grow_back()
-        if front:
-            self.resize(_grown(self.n, self.cfg))
         return False
 
     def state(self, t: float) -> WaveState:
@@ -656,8 +651,8 @@ class _RK45Stepper:
     keeps the explicit step stable.  Every step still goes through
     _Window.accept.  The solver carries the window (lo, n) it was built
     on, and is rebuilt from the window's state when either edge has moved:
-    before a step, by a trim, or after a refused step, which always moves
-    an edge or raises.  The step size carries over to the next sample
+    by a trim, or by the headroom check before a step, which always moves
+    an edge (or raises) before the redo of a refused one.  The step size carries over to the next sample
     interval as first_step.
     """
 

@@ -295,6 +295,15 @@ def test_modes_command(tmp_path):
     assert len(report["impulses"]) == 3
 
 
+def test_modes_on_a_family_without_explicit_coefficients_exit_2(tmp_path):
+    cfg = write_config(tmp_path / "mod.json", {"family": {"kind": "syk_like", "alpha": 1.0, "eta": 1.0}})
+    out = tmp_path / "mod"
+    r = run_cli("modes", "--config", cfg, "--out", str(out))
+    assert r.returncode == 2
+    assert "modes needs an explicit family" in r.stderr and "Traceback" not in r.stderr
+    assert not (out / "modes_report.json").exists()
+
+
 def test_overflowing_coupling_exit_5_with_partial_results(tmp_path):
     # b_2 = 2e308 is inf: the t = 0 row is written and the message names b_2
     doc = {"family": {"kind": "linear", "alpha": 1e308, "gamma": 1}, "evolve": {"t_max": 1, "samples": 2}}

@@ -11,7 +11,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from krylovchain import SchemaError, SykLike, cli
 from krylovchain.config import (
-    CONFIG_SCHEMA_DOC,
+    _FAMILY_KEYS,
+    _SECTIONS,
+    _TOP_KEYS,
+    _params,
     apply_sweep_point,
     build_evolve_config,
     build_sequence,
@@ -20,6 +23,10 @@ from krylovchain.config import (
 )
 from krylovchain.evolve import METHODS
 
+
+# the keys the parser admits: each family's parameters, and each section's
+_PARAMS = {kind: sorted(keys) for kind, keys in _FAMILY_KEYS.items()}
+_KEYS = {head: sorted(_params(cls)) for head, cls in _SECTIONS.items()}
 
 BASE = {
     "family": {"kind": "syk_like", "alpha": 1.0, "eta": 1.0},
@@ -249,18 +256,17 @@ def test_schema_doc_tables_match_the_schema():
         return [line.split("|")[1:3] for line in body.splitlines() if line.startswith("| `")]
 
     family = {kind.strip(" `"): sorted(re.findall(r"`(\w+)`", params)) for kind, params in rows("family")}
-    assert family == CONFIG_SCHEMA_DOC["family"]["params"]
+    assert family == _PARAMS
     for section in ("evolve", "fit", "moments", "wnumber", "output"):
         keys = sorted(name for keys, _ in rows(section) for name in re.findall(r"`(\w+)`", keys))
-        assert keys == CONFIG_SCHEMA_DOC[section], section
+        assert keys == _KEYS[section], section
 
 
 DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
-_PARAMS = CONFIG_SCHEMA_DOC["family"]["params"]
 _NAMES = sorted(
-    {*CONFIG_SCHEMA_DOC, "kind", *_PARAMS, *(k for keys in _PARAMS.values() for k in keys)}
-    | {k for head in ("evolve", "fit", "moments", "wnumber", "output") for k in CONFIG_SCHEMA_DOC[head]}
+    {*_TOP_KEYS, "kind", *_PARAMS, *(k for keys in _PARAMS.values() for k in keys)}
+    | {k for keys in _KEYS.values() for k in keys}
     | {f"{head}.{k}" for head in ("family", "evolve") for k in ("kind", "alpha", "t_max", "samples")}
 )
 json_values = st.recursive(
@@ -291,7 +297,7 @@ _values = (
 evolve_sections = st.fixed_dictionaries(
     {"t_max": _values},
     optional=dict.fromkeys(
-        set(CONFIG_SCHEMA_DOC["evolve"]) - {"t_max"}, _values | st.sampled_from(["log", "rk45"])
+        set(_KEYS["evolve"]) - {"t_max"}, _values | st.sampled_from(["log", "rk45"])
     ),
 )
 

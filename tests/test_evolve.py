@@ -870,17 +870,24 @@ def test_trim_drops_the_empty_back_but_a_guard_band():
         assert w3.accept(short, short, 0.0) and w3.lo == lo
 
 
-def test_leading_guard_band_grows_the_back():
-    # before a step past 1 % of truncation_tol, after one past truncation_tol
-    # (the step is refused and y0 put back); each time by the growth rule's
-    # step for the window's size, ceil(1.12 m) + guard_band - m, down to 0
+def _trimmed_window(cfg):
+    """A window whose accepted first step trimmed it to [592, 1000): the packet sits at site 600."""
     from krylovchain.evolve import _Window
 
-    cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12)
     y = np.zeros(1000)
     y[600] = 1.0
     w = _Window(SykLike(1.0, 1.0), cfg, y)
-    assert w.accept(w.y, w.y, 0.0) and w.lo == 600 - cfg.guard_band
+    assert w.accept(w.y, w.y, 0.0) and (w.lo, w.n) == (592, 1000)
+    return w
+
+
+def test_leading_guard_band_grows_the_back():
+    # before a step past 1 % of truncation_tol, and before the redo of one
+    # past truncation_tol (the step is refused and y0 put back); each time
+    # by the growth rule's step for the window's size,
+    # ceil(1.12 m) + guard_band - m, down to 0
+    cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12)
+    w = _trimmed_window(cfg)
 
     def step(m):
         return math.ceil(1.12 * m) + cfg.guard_band - m
@@ -896,11 +903,54 @@ def test_leading_guard_band_grows_the_back():
     leak = y0.copy()
     leak[0] = 2e-6  # 4e-12 > truncation_tol
     assert not w.accept(leak, y0, 0.5)
+    assert w.y is y0 and (w.lo, w.n) == (535, 1000)
+    w.ensure_headroom()  # the check before the redo grows the back
     assert w.lo == 535 - step(465) == 471
     assert w.n == 1000 and w.state(0.5).amplitudes[592] == 2e-7
     while w.lo:
         w.grow_back()
     assert np.array_equal(w.state(0.5).amplitudes[535:], y0)
+
+
+def test_refused_step_grows_each_edge_its_sums_fill():
+    # a step refused at the back whose trailing band holds 1e-14: under
+    # truncation_tol, over the 1e-15 that the front grows at once lo > 0.
+    # The check before the redo reads the refused step's sums, so it grows
+    # the front too, not only the back
+    cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12)
+    w = _trimmed_window(cfg)
+    y0 = w.y
+    leak = y0.copy()
+    leak[0] = 2e-6  # 4e-12 > truncation_tol
+    leak[-1] = 1e-7
+    assert not w.accept(leak, y0, 0.5)
+    assert w.y is y0 and (w.lo, w.n) == (592, 1000)
+    w.ensure_headroom()
+    n = math.ceil(1.12 * 1000) + cfg.guard_band
+    m = n - 592
+    assert w.n == n and w.lo == 592 - (math.ceil(1.12 * m) + cfg.guard_band - m)
+    assert np.array_equal(w.state(0.5).amplitudes[592:1000], y0)
+
+
+def test_headroom_measures_the_window_after_a_trim(monkeypatch):
+    # accept's sums serve the next check, unless a trim has dropped sites
+    # since: then the check measures the trimmed y itself
+    from krylovchain.evolve import _Window
+
+    head_mass, calls = _Window.head_mass, []
+
+    def counted(self):
+        calls.append((self.lo, self.n))
+        return head_mass(self)
+
+    monkeypatch.setattr(_Window, "head_mass", counted)
+    w = _trimmed_window(EvolveConfig(t_max=1.0, truncation_tol=1e-12))
+    w.ensure_headroom()
+    assert calls == [(592, 1000)]
+    # a step that trims nothing leaves its sums, and the check takes them
+    assert w.accept(w.y.copy(), w.y, 0.1) and w.lo == 592
+    w.ensure_headroom()
+    assert calls == [(592, 1000)]
 
 
 def test_moved_back_steps_as_its_dense_cayley_factor(lapack_calls):
@@ -1116,8 +1166,9 @@ def test_stage_system_overflow_is_a_stiffness_error():
 
 
 def test_window_refuses_step_that_fills_guard_band():
-    # both steppers hand each step to _Window.accept, which grows by the
-    # same rule as the headroom check and puts back the zero-padded start
+    # both steppers hand each step to _Window.accept, which refuses it and
+    # puts back the start; the headroom check before the redo grows the
+    # window by its own rule, zero-padded
     from krylovchain.evolve import _Window
 
     cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12, max_active_size=1000)
@@ -1131,6 +1182,8 @@ def test_window_refuses_step_that_fills_guard_band():
     leak = ok.copy()
     leak[-1] = 1e-5  # guard-band mass 1e-10 > truncation_tol
     assert not w.accept(leak, ok, 0.5)
+    assert w.y is ok and w.n == n0 and len(w.b) == n0
+    w.ensure_headroom()
     grown = active_window_policy(make_state(leak, t=0.5, tail=1e-10), cfg)
     assert grown > n0 and w.n == grown
     assert np.array_equal(w.y[:n0], ok) and not w.y[n0:].any()

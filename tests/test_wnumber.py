@@ -9,6 +9,7 @@ from krylovchain import (
     Constant,
     Explicit,
     SqrtGrowth,
+    StitchedSequence,
     Su2,
     SykLike,
     partial_products,
@@ -60,6 +61,23 @@ def test_constant_value_and_product_discrepancy():
     assert cls.verdict == "finite"
     assert cls.value == pytest.approx(0.5, abs=1e-9)
     assert all(p == pytest.approx(1.0) for p in cls.partial_products)
+
+
+@pytest.mark.parametrize(
+    "v,w,verdict",
+    [(0.5, 1.0, "infinite"), (1.0, 0.5, "zero"), (0.9, 1.0, "infinite"), (1.0, 0.9, "zero")],
+)
+def test_dimerized_chain_slope_verdicts(v, w, verdict):
+    # b_odd = v, b_even = w: alpha n stays below one ulp of b_n at every
+    # depth used.  For v < w, z phi_0(z) -> 1 - v^2/w^2 (W infinite); for
+    # v > w, phi_0(z) / z -> 1 / (v^2 - w^2) (W zero)
+    cls = w_number(StitchedSequence(head=(v,), alpha=1e-300, gamma_even=w, gamma_odd=v))
+    assert cls.verdict == verdict and cls.value is None
+    z, phi = cls.cf_trace[-1]
+    if verdict == "infinite":
+        assert z * phi == pytest.approx(1.0 - v * v / (w * w), rel=1e-3)
+    else:
+        assert phi / z == pytest.approx(1.0 / (v * v - w * w), rel=1e-3)
 
 
 def test_partial_products_values():
