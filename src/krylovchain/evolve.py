@@ -139,7 +139,8 @@ class EvolveConfig:
             raise ParameterError("samples", "the log grid needs samples >= 2")
         elif self.grid == "log" and self.t_max * 10.0 ** -self.log_decades <= 1e-12:
             raise ParameterError("log_decades", "expected t_max 10^-log_decades > 1e-12")
-        # a sample interval shorter than the clock's tolerance takes no step
+        # each sample interval spans more than ten step floors (see
+        # _check_step), so the grid alone puts no step below the floor
         times = self.resolve_sample_times()
         if any(b - a <= 1e-12 * max(1.0, b) for a, b in zip(times, times[1:])):
             raise ParameterError(
@@ -223,17 +224,18 @@ def _finite_prefix(b: np.ndarray) -> int:
     return int(bad.argmax()) + 1 if bad.any() else len(b)
 
 
-def _equal_steps(remaining: float, dt: float) -> Tuple[float, int]:
-    """(h, k): the fewest k equal steps h no longer than dt that cover remaining.
+def _equal_steps(a: float, b: float, dt: float) -> Tuple[float, int]:
+    """(h, k): the fewest k equal steps h no longer than dt from a to b > a.
 
-    Where remaining / dt reaches 1e13, or dt is not a number, the step is
-    dt itself and k is 0: that step is below the step floor (see
-    _check_step), so the run ends there.
+    Raises StiffnessError at a where (b - a) / dt reaches 1e13 or dt is not
+    a number, and where h is below the step floor (see _check_step).
     """
-    if remaining < 1e13 * dt:
-        k = math.ceil(remaining / dt)
-        return remaining / k, k
-    return dt, 0
+    if not b - a < 1e13 * dt:
+        raise StiffnessError(a, dt)
+    k = max(math.ceil((b - a) / dt), 1)
+    h = (b - a) / k
+    _check_step(a, h, b)
+    return h, k
 
 
 def _check_step(t: float, h: float, t_target: float) -> None:
@@ -451,11 +453,11 @@ class _CayleyStepper:
     so unresolved high-frequency content only accumulates bounded phase
     mismatch, which a doubling estimator misreads as error and answers by
     collapsing the step to the inverse of the largest hopping in the
-    window.  Each sample interval is cut into the fewest equal steps no
-    longer than h, so steps keep one length and share their LU
-    factorizations.  Within an interval the clock is start + k h rather
-    than a running sum, so the interval's steps keep one bit-identical
-    length however far t is from 0.
+    window.  Each sample interval is cut into the fewest k equal steps no
+    longer than h, so its steps keep one bit-identical length and share
+    their LU factorizations, and it ends after exactly k accepted steps:
+    steps are counted, not summed into a clock, so none is lost to
+    rounding and no tolerance in t sets the unit of time.
 
     Each cache carries the window (lo, n) it was built on, and is checked
     against it where it is used.  _factors maps each distinct stage weight
@@ -487,9 +489,9 @@ class _CayleyStepper:
 
         The weight's record is reused on its own window when its c
         matches c to 1e-12 relative, and c' is then the cached c: the
-        stage stays an exact Cayley factor and the clock is off by at most
-        1e-12 h per step.  Otherwise c' = c and the record is replaced, so
-        the cache holds one set per weight.
+        stage stays an exact Cayley factor, of a step within 1e-12 h of h.
+        Otherwise c' = c and the record is replaced, so the cache holds
+        one set per weight.
 
         After a growth of the front from k rows of S to more, with lo
         unchanged, a set whose c is the stage's own, bit for bit, is
@@ -616,31 +618,26 @@ class _CayleyStepper:
         return max(_norm(dy) / max(_norm(y), 1e-300), 1e-300)
 
     def advance(self, t: float, t_target: float) -> float:
-        """Advance to t_target; returns the time reached."""
-        eps = 1e-12 * max(1.0, abs(t_target))
-        # the clock is start + k h, so rounding does not gather in t and h
-        # stays bit-identical over the interval
-        start, k, h = t, 0, None
-        while t < t_target - eps:
+        """Advance from t to t_target > t in k equal steps h (see _equal_steps); returns t_target."""
+        j, k, h = 0, 1, None  # (h, k) is planned at the first attempt
+        while j < k:
             self.w.ensure_headroom()
             if h is None:
-                # the floor is checked after the interval's first growth, so
-                # that a coupling that overflows there is named first
-                h = _equal_steps(t_target - t, self._dt_acc)[0]
-                _check_step(t, h, t_target)
+                # planned after the interval's first growth, so that a
+                # coupling that overflows there is named first
+                h, k = _equal_steps(t, t_target, self._dt_acc)
             # _apply leaves y0 intact for a redo
             y0 = self.w.y
             try:
                 y = self._apply(h, y0)
             except FloatingPointError:
-                raise StiffnessError(t, h, "the stage system overflows float64") from None
-            if self.w.accept(y, y0, t):
-                k += 1
-                t = start + k * h
+                raise StiffnessError(t + j * h, h, "the stage system overflows float64") from None
+            if self.w.accept(y, y0, t + j * h):
+                j += 1
         # no buffers between sample intervals, where the caller reduces the
         # state and the next interval often starts by growing the window
         self._stages = None
-        return t
+        return t_target
 
 
 class _RK45Stepper:
@@ -706,34 +703,32 @@ def evolve(
     times = cfg.resolve_sample_times()
     window = _Window(seq, cfg, initial)
     stepper = (_RK45Stepper if cfg.method == "rk45" else _CayleyStepper)(window, cfg)
-    t = 0.0
-    for t_s in times:
-        if t_s > t:
-            t = stepper.advance(t, t_s)
-        yield window.state(t_s if abs(t - t_s) < 1e-12 else t)
+    for a, b in zip((0.0,) + times, times):
+        if b > a:
+            stepper.advance(a, b)
+        yield window.state(b)
 
 
 def planned_solves(seq: LanczosSequence, cfg: EvolveConfig) -> int:
     """The stage solves that the Cayley step rule plans for evolve(seq, cfg).
 
     The step rate is the one _CayleyStepper takes from the window the run
-    starts on, and each sample interval is cut into the steps that advance
-    cuts it into (see _equal_steps); each step solves one system per
-    stage.  A refused step is redone, so a run with r of them makes
-    r * stages more solves.  The plan ends at the first interval whose step
-    is below the step floor, where the run ends too.  rk45 solves no stage
-    system: its plan is 0.
+    starts on, and each sample interval, from 0 to the first sample time
+    on, is cut into the steps that advance takes (see _equal_steps); each
+    step solves one system per stage.  A refused step is redone, so a run
+    with r of them makes r * stages more solves.  The plan ends at the
+    first interval whose step is below the step floor, where the run ends
+    too.  rk45 solves no stage system: its plan is 0.
     """
     if cfg.method == "rk45":
         return 0
     stepper = _CayleyStepper(_Window(seq, cfg, None), cfg)
     times = cfg.resolve_sample_times()
     steps = 0
-    for a, b in zip(times, times[1:]):
-        h, k = _equal_steps(b - a, stepper._dt_acc)
-        try:
-            _check_step(a, h, b)
-        except StiffnessError:
-            break
-        steps += k
+    for a, b in zip((0.0,) + times, times):
+        if b > a:
+            try:
+                steps += _equal_steps(a, b, stepper._dt_acc)[1]
+            except StiffnessError:
+                break
     return steps * len(stepper.weights)

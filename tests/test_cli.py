@@ -187,7 +187,7 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
         ({**BASE_EVOLVE, "evolve": {"t_max": 5.0, "samples": 1, "grid": "log"}}, "/evolve/samples"),
         # t_max bounds the run: no sample time may lie past it
         ({**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": [0, 3]}}, "/evolve/sample_times"),
-        # sample times the clock cannot tell apart
+        # sample times closer than ten step floors (1e-12 max(1, t))
         ({**BASE_EVOLVE, "evolve": {"t_max": 1e-12}}, "at /evolve: "),
         (
             {**BASE_EVOLVE, "evolve": {"t_max": 1.0, "grid": "log", "log_decades": 400}},

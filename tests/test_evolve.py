@@ -110,10 +110,14 @@ class TestEvolveBasics:
         ts = cfg.resolve_sample_times()
         assert ts[0] == 0.0 and ts[1] == pytest.approx(0.1) and ts[-1] == 10.0
 
-    def test_explicit_sample_times(self):
-        cfg = EvolveConfig(t_max=2.0, sample_times=(0.0, 0.5, 2.0))
-        states = list(evolve(Constant(1.0), cfg))
-        assert [s.t for s in states] == [0.0, 0.5, 2.0]
+    @pytest.mark.parametrize("method", ["cayley6", "rk45"])
+    def test_explicit_sample_times(self, method):
+        # each state carries its sample time bit for bit, on a grid that
+        # starts at 0 and on one that starts after it
+        for times in ((0.0, 0.5, 2.0), (0.25, 0.5, 2.0)):
+            cfg = EvolveConfig(t_max=2.0, sample_times=times, method=method)
+            states = list(evolve(Constant(1.0), cfg))
+            assert [s.t for s in states] == list(times)
 
 
 CLOSED_FORMS = [
@@ -634,7 +638,14 @@ def _spectral_point(nu):
 
 @pytest.mark.parametrize(
     "case,planned,refusals",
-    [("power_law", 10_500, 0), ("spectral_nu2", 1_960, 0), ("spectral_nu0", 980, 28)],
+    [
+        ("power_law", 10_500, 0),
+        ("spectral_nu2", 1_960, 0),
+        ("spectral_nu0", 980, 28),
+        # grids that start after 0: the interval from 0 to the first time is planned too
+        pytest.param((1.0, 2.0), 252, 3, id="syk_from_1"),
+        pytest.param((1.5,), 189, 1, id="syk_at_1.5"),
+    ],
 )
 def test_planned_solves_match_the_run(monkeypatch, lapack_calls, case, planned, refusals):
     # the plan cuts every sample interval as advance does, from the same
@@ -643,6 +654,8 @@ def test_planned_solves_match_the_run(monkeypatch, lapack_calls, case, planned, 
 
     if case == "power_law":
         seq, cfg = PowerLaw(1.0, 0.5), EvolveConfig(t_max=1.35e4 ** 0.5, samples=150, rel_tol=1e-8)
+    elif isinstance(case, tuple):
+        seq, cfg = SykLike(1.0, 1.0), EvolveConfig(t_max=2.0, sample_times=case)
     else:
         seq, cfg = _spectral_point(int(case[-1]))
     accept, refused = _Window.accept, []
@@ -661,6 +674,21 @@ def test_planned_solves_match_the_run(monkeypatch, lapack_calls, case, planned, 
     assert lapack_calls["dgttrs"] - 7 * len(refused) == planned
 
 
+@pytest.mark.parametrize("method,solves", [("cayley6", 1_260), ("cayley4", 2_360)])
+def test_runs_do_not_depend_on_the_unit_of_time(lapack_calls, method, solves):
+    # b_n -> lam b_n, t -> t / lam is the same chain: at b = 1e11 every step
+    # is shorter than 1e-12, and each interval still takes all of its steps
+    runs = []
+    for b, t_max in ((1e11, 1e-10), (1.0, 10.0)):
+        before = lapack_calls["dgttrs"]
+        runs.append(list(evolve(Constant(b), EvolveConfig(t_max=t_max, samples=4, method=method))))
+        assert lapack_calls["dgttrs"] - before == solves
+    scaled, unit = runs
+    assert [s.active_size for s in scaled] == [s.active_size for s in unit]
+    for a, b in zip(scaled, unit):
+        assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "seq,cfg",
     [
@@ -670,8 +698,10 @@ def test_planned_solves_match_the_run(monkeypatch, lapack_calls, case, planned, 
         (Constant(1e20), EvolveConfig(t_max=1.0, samples=2)),
         (Constant(1e300), EvolveConfig(t_max=1.0, samples=2)),
         (SykLike(1.0, 1.0), EvolveConfig(t_max=1.0, method="rk45")),
+        # (t_1 - 0) / dt rounds to 0: one step of t_1, below the floor
+        (Constant(1e-3), EvolveConfig(t_max=1.0, sample_times=(5e-324, 1.0))),
     ],
-    ids=["overflowing_coupling", "step_floor", "overflowing_rate", "rk45"],
+    ids=["overflowing_coupling", "step_floor", "overflowing_rate", "rk45", "first_interval_below_floor"],
 )
 def test_planned_solves_are_zero_where_the_run_takes_no_stage(seq, cfg):
     from krylovchain.evolve import planned_solves
@@ -679,6 +709,16 @@ def test_planned_solves_are_zero_where_the_run_takes_no_stage(seq, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert planned_solves(seq, cfg) == 0
+
+
+@pytest.mark.parametrize("t1", [1e-14, 5e-324])
+def test_first_interval_below_the_step_floor_ends_the_run(t1):
+    # the interval from 0 to the first sample time is stepped like any
+    # other, so one shorter than the step floor ends the run rather than
+    # passing the t = 0 state off as the state at t1
+    with pytest.raises(StiffnessError) as info:
+        next(evolve(Constant(1e-3), EvolveConfig(t_max=1.0, sample_times=(t1, 1.0))))
+    assert info.value.t == 0.0 and info.value.dt == t1
 
 
 def test_factor_reused_across_rounding_level_steps(lapack_calls):
@@ -707,8 +747,9 @@ def test_factor_reused_across_rounding_level_steps(lapack_calls):
 
 
 def test_clock_keeps_factors_far_from_t0(lapack_calls):
-    # at t ~ 1e4 a clock summed step by step gathers rounding that misses the
-    # 1e-12 factor reuse; start + k h keeps one step length per interval
+    # at t ~ 1e4 step lengths taken from a running sum of steps would gather
+    # rounding that misses the 1e-12 factor reuse; each interval is k steps
+    # of one length h, counted rather than summed, and ends on its sample time
     from krylovchain.evolve import _CayleyStepper, _Window
 
     cfg = EvolveConfig(t_max=1.0, rel_tol=1e-10)
