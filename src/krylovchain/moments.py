@@ -5,7 +5,7 @@ the same information, but the map between them is nonlinear and
 notoriously ill conditioned in floating point: roughly one decimal digit
 is lost per coefficient.  Two arithmetic paths are provided:
 
-* exact rationals (fractions.Fraction) whenever the inputs are rational;
+* exact rationals (Fractions, computed on integers) whenever the inputs are rational;
   this path is authoritative and loses nothing;
 * an mpmath path whose working precision scales with the requested count
   (the default), or plain float64 on request, which raises
@@ -259,26 +259,32 @@ def lanczos_to_moments(
         sq = [Fraction(v) * Fraction(v) for v in b]
     if count > 0 and len(sq) == 0:
         raise InsufficientDataError("no coefficients supplied for count > 0")
-    zero = Fraction(0)
 
     # similarity-transformed operator: sub-diagonal 1, super-diagonal b^2,
     # so powers stay rational in b^2; v[i] is the (i, 0) entry of the p-th
-    # power, updated in place because power p writes only sites i = p mod 2
+    # power, updated in place because power p writes only sites i = p mod 2.
+    # Each v[i] is a reduced integer pair (vn[i], vd[i]), reduced as
+    # Fraction's product and sum reduce, so each is Fraction's value.
     sites = min(len(sq), count)
-    sq = sq[:count] + [zero] * (count - len(sq))
-    v = [zero] * (count + 1)
-    v[0] = Fraction(1)
-    entries = [v[0]]
+    sn, sd = [v.numerator for v in sq[:sites]], [v.denominator for v in sq[:sites]]
+    vn, vd = [1] + [0] * count, [1] * (count + 1)
+    entries = [Fraction(1)]
     for p in range(1, 2 * count + 1):
         for i in range(p % 2, min(p, 2 * count - p, sites) + 1, 2):
-            if i == p:  # first visit: the right neighbour is still zero
-                v[i] = v[i - 1]
-            elif i == 0:
-                v[i] = sq[0] * v[1]
-            else:
-                v[i] = v[i - 1] + sq[i] * v[i + 1]
+            if i == p or i == sites:  # the right neighbour is still zero, or uncoupled
+                vn[i], vd[i] = vn[i - 1], vd[i - 1]
+                continue
+            # the product b_{i+1}^2 v[i+1], then the sum with v[i-1] (0 at i = 0)
+            g, h = math.gcd(sn[i], vd[i + 1]), math.gcd(vn[i + 1], sd[i])
+            pn, pd = (sn[i] // g) * (vn[i + 1] // h), (sd[i] // h) * (vd[i + 1] // g)
+            an, ad = (vn[i - 1], vd[i - 1]) if i else (0, 1)
+            g = math.gcd(ad, pd)
+            s = ad // g
+            t = an * (pd // g) + pn * s
+            h = math.gcd(t, g)
+            vn[i], vd[i] = t // h, s * (pd // h)
         if p % 2 == 0:
-            entries.append(v[0])
+            entries.append(Fraction(vn[0], vd[0]))
     return MomentSequence(entries=tuple(entries))
 
 
@@ -318,24 +324,30 @@ def _hankel_minors(mu, n, shift) -> list:
     Bareiss's fraction-free elimination without pivoting: after step k
     every remaining entry is a minor bordering the leading (k+1) x (k+1)
     block, so the pivot at (k, k) is the minor of order k+1 (Bareiss,
-    Math. Comp. 22, 1968).  A zero pivot ends the elimination; the minors
-    of higher order then come from `_det` on the leading blocks.
+    Math. Comp. 22, 1968).  The block is scaled by the lcm s of its
+    denominators, so the elimination runs on integers with exact `//`, and
+    the pivot of order k is s^k times the minor.  A zero pivot ends the
+    elimination; the minors of higher order then come from `_det` on the
+    unscaled leading blocks.
     """
-    a = [[mu[i + j + shift] for j in range(n)] for i in range(n)]
-    work = [row[:] for row in a]
+    vals = mu[shift : shift + 2 * n - 1]
+    s = math.lcm(*(v.denominator for v in vals))
+    scaled = [v.numerator * (s // v.denominator) for v in vals]
+    work = [scaled[i : i + n] for i in range(n)]
     minors = []
     prev = 1
     for k in range(n):
         piv = work[k][k]
-        minors.append(piv)
+        minors.append(Fraction(piv, s ** (k + 1)))
         if piv == 0:
-            minors += [_det([row[:size] for row in a[:size]], True) for size in range(k + 2, n + 1)]
+            blocks = ([list(vals[i : i + size]) for i in range(size)] for size in range(k + 2, n + 1))
+            minors += [_det(block, True) for block in blocks]
             break
         top = work[k]
         for row in work[k + 1:]:
             lead = row[k]
             for j in range(k + 1, n):
-                row[j] = (row[j] * piv - lead * top[j]) / prev
+                row[j] = (row[j] * piv - lead * top[j]) // prev
         prev = piv
     return minors
 

@@ -187,8 +187,9 @@ def test_schema_error_exit_2_with_pointer(tmp_path):
         ({**BASE_EVOLVE, "evolve": {"t_max": 5.0, "samples": 1, "grid": "log"}}, "/evolve/samples"),
         # t_max bounds the run: no sample time may lie past it
         ({**BASE_EVOLVE, "evolve": {"t_max": 1.0, "sample_times": [0, 3]}}, "/evolve/sample_times"),
-        # sample times closer than ten step floors (1e-12 max(1, t))
-        ({**BASE_EVOLVE, "evolve": {"t_max": 1e-12}}, "at /evolve: "),
+        # sample times closer than ten step floors (1e-12 t): 1000 samples to a
+        # subnormal t_max, which is only ~200 floats above 0
+        ({**BASE_EVOLVE, "evolve": {"t_max": 1e-321, "samples": 1000}}, "at /evolve: "),
         (
             {**BASE_EVOLVE, "evolve": {"t_max": 1.0, "grid": "log", "log_decades": 400}},
             "/evolve/log_decades",

@@ -371,6 +371,12 @@ run_evolve_sections = st.fixed_dictionaries(
 # b_2 = inf, and a first step set by b_1 = 1 whose stage system overflows
 @example({"kind": "linear", "alpha": 1e308, "gamma": 1}, {"t_max": 1, "samples": 2})
 @example({"kind": "constant_with_first", "b": 1e300, "b1": 1.0}, {"t_max": 1.0, "max_active_size": 16})
+# abs_tol = 5e-324 overflows scipy's first rk45 step guess: exit 5 at the window cap
+@example(
+    {"kind": "constant", "b": 1.0},
+    {"t_max": 1.0, "samples": 1, "method": "rk45", "abs_tol": 5e-324, "truncation_tol": 5e-324,
+     "guard_band": 4, "max_active_size": 16},
+)
 def test_accepted_configs_evolve_exit_0_2_or_5(family, evolve):
     # the step floor and the window cap end a run with exit 5, never a traceback
     doc = {"family": family, "evolve": evolve}

@@ -698,8 +698,8 @@ def test_runs_do_not_depend_on_the_unit_of_time(lapack_calls, method, solves):
         (Constant(1e20), EvolveConfig(t_max=1.0, samples=2)),
         (Constant(1e300), EvolveConfig(t_max=1.0, samples=2)),
         (SykLike(1.0, 1.0), EvolveConfig(t_max=1.0, method="rk45")),
-        # (t_1 - 0) / dt rounds to 0: one step of t_1, below the floor
-        (Constant(1e-3), EvolveConfig(t_max=1.0, sample_times=(5e-324, 1.0))),
+        # the first interval takes over 1e13 steps, each below the floor 1e-13 t_1
+        (Constant(1e20), EvolveConfig(t_max=1.0, sample_times=(1e-6, 1.0))),
     ],
     ids=["overflowing_coupling", "step_floor", "overflowing_rate", "rk45", "first_interval_below_floor"],
 )
@@ -712,13 +712,12 @@ def test_planned_solves_are_zero_where_the_run_takes_no_stage(seq, cfg):
 
 
 @pytest.mark.parametrize("t1", [1e-14, 5e-324])
-def test_first_interval_below_the_step_floor_ends_the_run(t1):
-    # the interval from 0 to the first sample time is stepped like any
-    # other, so one shorter than the step floor ends the run rather than
-    # passing the t = 0 state off as the state at t1
-    with pytest.raises(StiffnessError) as info:
-        next(evolve(Constant(1e-3), EvolveConfig(t_max=1.0, sample_times=(t1, 1.0))))
-    assert info.value.t == 0.0 and info.value.dt == t1
+def test_scaled_first_interval_is_stepped(t1):
+    # the step floor 1e-13 t is relative, so a first interval far shorter
+    # than 1e-13 is stepped like any other: b = 1e11 at t1 is b = 1 at 1e11 t1
+    first = next(evolve(Constant(1e11), EvolveConfig(t_max=1e-10, sample_times=(t1, 1e-10))))
+    want = bessel_chain_wavefunction("A", 2e11, 0, t1)
+    assert first.t == t1 and abs(first.amplitudes[0] - want) <= 1e-15
 
 
 def test_factor_reused_across_rounding_level_steps(lapack_calls):
@@ -1104,6 +1103,18 @@ def test_tail_mass_zero_where_no_coupling_leaves_the_window():
     seq = Explicit(tuple(1.0 + 0.1 * np.arange(20)))
     with pytest.raises(ResourceLimitError):
         list(evolve(seq, EvolveConfig(t_max=20.0, samples=4, max_active_size=16)))
+
+
+def test_rk45_with_the_least_abs_tol_ends_at_the_window_cap():
+    # abs_tol = 5e-324 overflows scipy's first-step guess: the run ends at
+    # the window cap, with no RuntimeWarning
+    cfg = EvolveConfig(t_max=1.0, samples=1, method="rk45", abs_tol=5e-324,
+                       truncation_tol=5e-324, guard_band=4, max_active_size=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceLimitError) as info:
+            list(evolve(Constant(1.0), cfg))
+    assert 0.0 < info.value.t_reached < 1.0
 
 
 @pytest.mark.parametrize("method", METHODS)

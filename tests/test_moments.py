@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from krylovchain import (
     InsufficientDataError,
@@ -247,6 +247,38 @@ def pivoted_determinants(entries, count):
     return dets
 
 
+def pruned_fraction_moments(b_squared, count):
+    """mu_0..mu_{2*count} by lanczos_to_moments' pruned recurrence, on Fraction objects."""
+    sq = [Fraction(v) for v in b_squared][:count]
+    sites = len(sq)
+    sq += [Fraction(0)] * (count - sites)
+    v = [Fraction(1)] + [Fraction(0)] * count
+    entries = [v[0]]
+    for p in range(1, 2 * count + 1):
+        for i in range(p % 2, min(p, 2 * count - p, sites) + 1, 2):
+            if i == p:
+                v[i] = v[i - 1]
+            elif i == 0:
+                v[i] = sq[0] * v[1]
+            else:
+                v[i] = v[i - 1] + sq[i] * v[i + 1]
+        if p % 2 == 0:
+            entries.append(v[0])
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_integer_moments_match_fraction_moments_on_spectral_heads(nu):
+    # the b^2 of the heads run to 790 digits: every moment is the reduced
+    # fraction of Fraction arithmetic, and the exact moment it came from
+    unit = SpectralModel(nu=nu, omega0=1.0)
+    mu = tuple(spectral_model_moments(unit, k, exact=True) for k in range(65))
+    b_sq = moments_to_lanczos(MomentSequence.from_values(mu), 64).b_squared
+    got = lanczos_to_moments(b_squared=b_sq, count=64).entries
+    assert got == pruned_fraction_moments(b_sq, 64)
+    assert got == mu
+
+
 @DETERMINISTIC
 @given(st.integers(0, 12).flatmap(
     lambda count: st.tuples(st.just(count), st.lists(rationals, min_size=1, max_size=count + 2))
@@ -333,6 +365,17 @@ def test_hankel_determinants_match_pivoted_reference_valid(b_sq):
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=11))
 def test_hankel_determinants_match_pivoted_reference_any_integers(tail):
     # small integers make many leading minors of either block vanish
+    m = MomentSequence.from_values([1] + tail)
+    assert hankel_determinants(m, len(tail)) == pivoted_determinants(m.entries, len(tail))
+
+
+@DETERMINISTIC
+@given(st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)), min_size=1, max_size=11))
+# the even block's 2 x 2 minor is 0, and its 3 x 3 one comes from _det, at s = 4
+@example([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(0), Fraction(1, 2)])
+def test_hankel_determinants_match_pivoted_reference_any_rationals(tail):
+    # the integer elimination scales each block by the lcm of its
+    # denominators: zero minors and the fallback past them meet that scale
     m = MomentSequence.from_values([1] + tail)
     assert hankel_determinants(m, len(tail)) == pivoted_determinants(m.entries, len(tail))
 
