@@ -7,18 +7,22 @@ is evaluated from the continued fraction
 
     phi_0(z) = 1 / (z + b_1^2 / (z + b_2^2 / (z + ...)))
 
-bottom-up.  Truncating a semi-infinite fraction at depth D leaves an
-error that alternates in sign between consecutive depths, so the
-evaluation averages depths D and D+1; the tail is seeded with the
-constant-coefficient fixed point (-z + sqrt(z^2 + 4 b^2)) / (2 b^2),
-which also reproduces the 1/z asymptote at large |z|.  Finite chains
-terminate exactly at their support, with the tail value 1/z.
+as a composition of Moebius maps x -> 1 / (z + b_k^2 x), that is, the
+product of the 2x2 matrices [[0, 1], [b_k^2, z]] (Wallis / Euler-Minding
+form), which numpy multiplies pairwise, level by level.  Truncating a
+semi-infinite fraction at depth D leaves an error that alternates in
+sign between consecutive depths, so the evaluation averages depths D
+and D+1; the tail is the attracting fixed point of the last map,
+2 / (z + s) with s = +-sqrt(z^2 + 4 b^2) signed so that |z + s| is
+largest, which also reproduces the 1/z asymptote at large |z|.  Finite
+chains terminate exactly at their support, with the tail value 1/z.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -38,6 +42,9 @@ __all__ = [
 ]
 
 _UNDERFLOW_GUARD = 1e-300
+# Python multiplies the last this-many matrices of a product: for so few, a
+# level of numpy calls costs more than Python's 2x2 products
+_PYTHON_BELOW = 64
 
 
 @dataclass(frozen=True)
@@ -86,27 +93,109 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p))) + 0.0
 
 
+def _row(st: WaveState) -> tuple:
+    """One row of the series, in field order."""
+    return (st.t, complexity(st), entropy(st), float(st.amplitudes[0]), st.norm_error, st.active_size)
+
+
 def series_from_trajectory(states: Iterable[WaveState]) -> ObservableSeries:
-    """Reduce a (possibly streaming) trajectory to its observable series."""
-    rows = [  # one row per state, in field order
-        (st.t, complexity(st), entropy(st), float(st.amplitudes[0]), st.norm_error, st.active_size)
-        for st in states
-    ]
+    """Reduce a (possibly streaming) trajectory to its observable series.
+
+    map holds no sample while the trajectory makes the next one, so each
+    state is released as soon as its row is taken.
+    """
+    rows = list(map(_row, states))
     return ObservableSeries(*(list(zip(*rows)) or [()] * len(fields(ObservableSeries))))
 
 
-def _cf_eval(b_sq: list, z: complex, depth: int, f: complex = None) -> complex:
-    """Bottom-up continued fraction truncated at `depth`; the tail f defaults to the fixed point.
+def _tail(b2: float, z: complex) -> complex:
+    """Attracting fixed point of x -> 1 / (z + b2 x): the value of a constant tail.
 
-    A float z runs in float arithmetic, bit-identical to complex arithmetic
-    with zero imaginary parts as long as every intermediate stays finite.
+    The fixed points are 2 / (z + s) with s = +-sqrt(z^2 + 4 b2); the one with
+    the larger |z + s| has |b x| < 1.  b2 = 0 ends the fraction at 1/z.
     """
-    if f is None:
-        b2_tail = b_sq[depth]
-        f = (-z + (z * z + 4.0 * b2_tail) ** 0.5) / (2.0 * b2_tail)
-    for b2 in reversed(b_sq[:depth]):
-        f = 1.0 / (z + b2 * f)
-    return f
+    if b2 == 0.0:
+        return 1.0 / z
+    s = (z * z + 4.0 * b2) ** 0.5
+    if abs(z - s) > abs(z + s):
+        s = -s
+    return 2.0 / (z + s)
+
+
+def _mul(l: tuple, r: tuple) -> tuple:
+    """2x2 product of row-major 4-tuples, in Python arithmetic."""
+    a, b, c, d = l
+    e, f, g, h = r
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _rescaled(x: np.ndarray) -> np.ndarray:
+    """Scale each matrix x[:, :, k] by the power of two that puts its largest entry in [1/2, 1).
+
+    A power of two scales exactly, which keeps a float z and the same z as a
+    complex number on the same bits (a division by the maximum would not:
+    numpy's complex division multiplies by a reciprocal).
+    """
+    _, e = np.frexp(np.abs(x).max(axis=(0, 1)))
+    x *= np.ldexp(1.0, -e)
+    return x
+
+
+def _factors(b_sq: np.ndarray, beta: np.ndarray, z: complex, lo: int, hi: int) -> np.ndarray:
+    """N_k = [[0, beta_k], [b_sq[k] / beta_{k+1}, z]] for lo <= k < hi, as x[:, :, k - lo].
+
+    Each N_k is scaled by the power of two that puts its largest entry in
+    [1/2, 1), taken from the three entries without a pass over x.
+    """
+    c = b_sq[lo:hi] / beta[lo + 1:hi + 1]
+    s = np.ldexp(1.0, -np.frexp(np.maximum(np.maximum(beta[lo:hi], c), abs(z)))[1])
+    x = np.empty((2, 2, hi - lo), dtype=complex if isinstance(z, complex) else float)
+    x[0, 0] = 0.0
+    x[0, 1] = beta[lo:hi] * s
+    x[1, 0] = c * s
+    x[1, 1] = z * s
+    return x
+
+
+def _product(b_sq: np.ndarray, beta: np.ndarray, z: complex, lo: int, hi: int) -> tuple:
+    """N_lo ... N_{hi-1} of `_factors`, up to a scalar factor, as a row-major 4-tuple.
+
+    numpy multiplies neighbouring pairs level by level down to _PYTHON_BELOW
+    matrices; Python multiplies those, then the factors that odd levels left
+    over.
+    """
+    x = _factors(b_sq, beta, z, lo, hi)
+    left_over = []
+    while (n := x.shape[2]) > _PYTHON_BELOW:
+        if n % 2:
+            left_over.append(tuple(x[:, :, n - 1].ravel().tolist()))
+        l, r = x[:, :, 0:n - 1:2], x[:, :, 1:n:2]
+        y = l[:, 0, None] * r[None, 0]
+        y += l[:, 1, None] * r[None, 1]
+        x = _rescaled(y)
+    return reduce(_mul, reversed(left_over), reduce(_mul, zip(*x.reshape(4, -1).tolist())))
+
+
+def _cf_values(b_sq: np.ndarray, z: complex, depths) -> dict:
+    """The fraction truncated at each of the increasing `depths`, ending in the tail at that depth.
+
+    To depth n it is the Moebius map of M_0 ... M_{n-1}, M_k = [[0, 1], [b_sq[k], z]],
+    applied to (tail, 1).  With beta_k a power of two near b_k = sqrt(b_sq[k]),
+    M_k = diag(1/beta_k, 1) N_k diag(beta_{k+1}, 1), whose N_k has entries of
+    the size of b_k and z, so that no product of b^2 overflows.  A float z
+    runs in float arithmetic, bit-identical to complex arithmetic with zero
+    imaginary parts as long as every intermediate stays finite.
+    """
+    beta = np.ldexp(1.0, np.frexp(b_sq)[1] // 2)
+    values = {}
+    m = (1.0, 0.0, 0.0, 1.0)
+    start = 0
+    for n in depths:
+        m = _mul(m, _product(b_sq, beta, z, start, n))
+        start = n
+        u = float(beta[n]) * _tail(float(b_sq[n]), z)
+        values[n] = (m[0] * u + m[1]) / (float(beta[0]) * (m[2] * u + m[3]))
+    return values
 
 
 def relaxation_phi0(
@@ -117,11 +206,14 @@ def relaxation_phi0(
 ) -> complex:
     """Relaxation function phi_0(z) from the continued fraction.
 
+    The fraction is the product of the 2x2 matrices [[0, 1], [b_n^2, z]],
+    taken as a numpy tree of pairwise products, applied to its tail.
     Finite chains are evaluated exactly (the fraction ends at the support
-    with the tail 1/z).  Semi-infinite chains use depth-averaged truncation
-    and raise ConvergenceError when halving the depth moves the value by
-    more than `tol` relatively.  A real z (zero imaginary part) runs in
-    float arithmetic, bit-identical to the complex evaluation.
+    with the tail 1/z).  Semi-infinite chains end in the attracting fixed
+    point of the last level, average depths D and D+1, and raise
+    ConvergenceError when halving the depth moves the value by more than
+    `tol` relatively.  A real z (zero imaginary part) runs in float
+    arithmetic, bit-identical to the complex evaluation.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -132,12 +224,12 @@ def relaxation_phi0(
         z = z.real
     sup = seq.support
     if sup is not None:
-        return _as_scalar(_cf_eval((seq.b_array(sup) ** 2).tolist(), z, sup, 1.0 / z))
+        return _as_scalar(_cf_values(seq.b_array(sup + 1) ** 2, z, (sup,))[sup])
 
-    b_sq = (seq.b_array(depth + 2) ** 2).tolist()
-    val_hi = 0.5 * (_cf_eval(b_sq, z, depth) + _cf_eval(b_sq, z, depth + 1))
     d_lo = max(depth // 2, 1)
-    val_lo = 0.5 * (_cf_eval(b_sq, z, d_lo) + _cf_eval(b_sq, z, d_lo + 1))
+    v = _cf_values(seq.b_array(depth + 2) ** 2, z, sorted({d_lo, d_lo + 1, depth, depth + 1}))
+    val_hi = 0.5 * (v[depth] + v[depth + 1])
+    val_lo = 0.5 * (v[d_lo] + v[d_lo + 1])
     if abs(val_hi - val_lo) > tol * max(abs(val_hi), 1e-300):
         raise ConvergenceError(
             _as_scalar(val_lo), _as_scalar(val_hi), f"depths {d_lo} vs {depth}"

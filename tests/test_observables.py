@@ -1,6 +1,8 @@
 """Complexity, entropy, relaxation function, finite-chain spectra."""
 
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from krylovchain import (
     ConvergenceError,
     EvolveConfig,
     Explicit,
+    LogGrowth,
     ObservableSeries,
     OrderingError,
+    PowerLaw,
     SqrtGrowth,
     SykLike,
     complexity,
@@ -24,7 +28,7 @@ from krylovchain import (
     w_number,
 )
 from krylovchain.evolve import WaveState
-from krylovchain.observables import entropy_of_probabilities
+from krylovchain.observables import _cf_values, _tail, entropy_of_probabilities
 
 
 def make_state(amps, t=0.0):
@@ -112,6 +116,21 @@ class TestSeries:
                 active_size=(1, 1),
             )
 
+    def test_each_state_is_released_before_the_next_is_made(self):
+        refs = []
+
+        def made(k):
+            st = make_state([1.0, 0.0], t=float(k))
+            refs.append(weakref.ref(st.amplitudes))
+            return st
+
+        def states():
+            for k in range(3):
+                assert all(ref() is None for ref in refs), "an earlier sample is still held"
+                yield made(k)
+
+        assert series_from_trajectory(states()).times == (0.0, 1.0, 2.0)
+
     def test_syk_trajectory_matches_closed_form(self):
         cfg = EvolveConfig(t_max=3.0, samples=30)
         series = series_from_trajectory(evolve(SykLike(1.0, 1.0), cfg))
@@ -168,34 +187,48 @@ class TestRelaxation:
             relaxation_phi0(Constant(1.0), 0.0)
 
 
-def complex_cf(b_sq, z, depth, f=None):
-    # the continued-fraction loop with every z complex, kept as the reference
-    # that the float evaluation of a real z must match bit for bit
-    if f is None:
-        b2_tail = b_sq[depth]
-        f = (-z + (z * z + 4.0 * b2_tail) ** 0.5) / (2.0 * b2_tail)
-    for k in range(depth, 0, -1):
-        f = 1.0 / (z + b_sq[k - 1] * f)
-    return f
-
-
 def complex_scalar(v):
     return v.real if v.imag == 0.0 else v
 
 
 def complex_phi0(seq, z, depth=20000, tol=1e-10):
-    """relaxation_phi0 in complex arithmetic throughout, as an outcome tuple."""
+    """relaxation_phi0 with every z complex, as an outcome tuple.
+
+    The same tree product in complex arithmetic: the reference that the float
+    evaluation of a real z must match bit for bit.
+    """
     z = complex(z)
     if seq.support is not None:
-        b_sq = (seq.b_array(seq.support) ** 2).tolist()
-        return ("value", complex_scalar(complex_cf(b_sq, z, seq.support, 1.0 / z)))
-    b_sq = (seq.b_array(depth + 2) ** 2).tolist()
-    hi = 0.5 * (complex_cf(b_sq, z, depth) + complex_cf(b_sq, z, depth + 1))
+        b_sq = seq.b_array(seq.support + 1) ** 2
+        return ("value", complex_scalar(_cf_values(b_sq, z, (seq.support,))[seq.support]))
     d_lo = max(depth // 2, 1)
-    lo = 0.5 * (complex_cf(b_sq, z, d_lo) + complex_cf(b_sq, z, d_lo + 1))
+    v = _cf_values(seq.b_array(depth + 2) ** 2, z, sorted({d_lo, d_lo + 1, depth, depth + 1}))
+    hi = 0.5 * (v[depth] + v[depth + 1])
+    lo = 0.5 * (v[d_lo] + v[d_lo + 1])
     if abs(hi - lo) > tol * max(abs(hi), 1e-300):
         return ("not converged", complex_scalar(lo), complex_scalar(hi))
     return ("value", complex_scalar(hi))
+
+
+def loop_cf(b_sq, z, depth, f):
+    # the bottom-up loop f <- 1 / (z + b_k^2 f), kept as the accuracy oracle
+    for b2 in reversed(b_sq[:depth]):
+        f = 1.0 / (z + b2 * f)
+    return f
+
+
+def loop_phi0(seq, z, depth):
+    """phi_0(z) from the bottom-up loop: exact for finite chains, else the D, D+1 average."""
+    if seq.support is not None:
+        return loop_cf((seq.b_array(seq.support) ** 2).tolist(), z, seq.support, 1.0 / z)
+    b_sq = (seq.b_array(depth + 2) ** 2).tolist()
+
+    def fixed_point(b2):
+        # the root of b2 x^2 + z x - 1 = 0 of smaller modulus attracts
+        s = (z * z + 4.0 * b2) ** 0.5
+        return min((-z + s) / (2.0 * b2), (-z - s) / (2.0 * b2), key=abs)
+
+    return 0.5 * sum(loop_cf(b_sq, z, n, fixed_point(b_sq[n])) for n in (depth, depth + 1))
 
 
 def phi0_outcome(seq, z, depth=20000, tol=1e-10):
@@ -212,6 +245,42 @@ REAL_AXIS_CHAINS = [
     pytest.param(SqrtGrowth(1.0), id="sqrt_growth_1"),
     pytest.param(Explicit((1.0, 2.0, 0.5)), id="explicit_3"),
 ]
+
+
+class TestTreeProduct:
+    @pytest.mark.parametrize("seq", REAL_AXIS_CHAINS + [
+        pytest.param(SykLike(1.0, 2.0), id="syk_1_2"),
+        pytest.param(PowerLaw(1.0, 0.5), id="power_law_1_0.5"),
+        pytest.param(LogGrowth(1.0, 0.0, 1), id="log_growth_1_0_1"),
+    ])
+    @pytest.mark.parametrize("z", [1e-8, 1e-4, 1e-2, 2.0, -3.0, 0.3 + 0.2j, 1.0 + 0.5j, 1e6])
+    def test_matches_bottom_up_loop(self, seq, z):
+        # the tree rounds in another order than the loop: 1e-12 relative
+        for depth in (4000, 20000, 40000):
+            got = relaxation_phi0(seq, z, depth=depth, tol=math.inf)
+            want = loop_phi0(seq, z, depth)
+            assert abs(got - want) <= 1e-12 * abs(want), (depth, got, want)
+
+    @pytest.mark.parametrize("b2", [1e-2, 1.0, 1e8])
+    @pytest.mark.parametrize("z", [1e-4, 2.0, -3.0, 0.3 + 0.2j, 1e6])
+    def test_tail_is_the_attracting_fixed_point(self, b2, z):
+        x = _tail(b2, z)
+        assert abs(x * (z + b2 * x) - 1.0) <= 1e-13
+        assert abs(math.sqrt(b2) * x) < 1.0
+
+    def test_negative_z_converges_to_the_attracting_fixed_point(self):
+        # the repelling fixed point as a tail, (3 + sqrt(13)) / 2, only reaches
+        # this value through rounding error that grows about 11x per level
+        for depth in (40, 4000):
+            val = relaxation_phi0(Constant(1.0), -3.0, depth=depth)
+            assert abs(val - (3.0 - math.sqrt(13.0)) / 2.0) <= 1e-15
+
+    def test_large_coefficients_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relaxation_phi0(Constant(1e150), 1e140, depth=4000)
+        want = loop_phi0(Constant(1e150), 1e140, 4000)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestRealAxisArithmetic:
