@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 success, 2 usage/window/schema/series-artifact error or
 colliding fit stems, 3 bound violation, 4 invalid moments, or precision
 exhausted (a double to_lanczos conversion, or a to_moments moment past
-the float64 range), 5 resource limit: the window cap, or a step below
-the step floor (evolve writes the samples taken so far).
+the float64 range), 5 resource limit: the window cap, a step below the
+step floor, or a coupling b_n past the float64 range (evolve writes the
+samples taken so far; wnumber writes no report).
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ _EXIT_CODES = {
     InvalidMomentSequenceError: EXIT_MOMENTS,
     PrecisionExhaustedError: EXIT_MOMENTS,
     ResourceLimitError: EXIT_RESOURCE,
+    CouplingOverflowError: EXIT_RESOURCE,
 }
 
 

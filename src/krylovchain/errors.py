@@ -137,12 +137,13 @@ class StiffnessError(KrylovChainError):
 
 
 class CouplingOverflowError(KrylovChainError):
-    """A coupling b_n the window needs is not a finite float; `n` names the first such."""
+    """A coupling b_n that an evolve or a continued fraction needs is not a finite float; `n` names the first such."""
 
-    def __init__(self, n, value):
+    def __init__(self, n, value, detail=None):
         self.n = n
         self.value = value
-        super().__init__(f"coupling b_{n} = {value} is not finite: the window cannot grow past site {n - 1}")
+        detail = detail or f"the window cannot grow past site {n - 1}"
+        super().__init__(f"coupling b_{n} = {value} is not finite: {detail}")
 
 
 class WindowError(KrylovChainError):

@@ -16,10 +16,12 @@ Two stepper families are provided (METHODS names them):
 * Cayley compositions, "cayley6" (default), "cayley4" and "trapezoidal":
   the update is a product of Cayley stages (I - c A) phi' = (I + c A) phi,
   with c = w h / 2 for the stage weights w of a symmetric composition of
-  order 6, 4 or 2 (see _COMPOSITIONS).  Every stage is exactly
-  orthogonal, so the norm is conserved to rounding whatever the step, and
-  the step follows the solution's timescale rather than the largest
-  hopping in the window (see _CayleyStepper).
+  order 6, 4 or 2 (see _COMPOSITIONS).  A stage solves one tridiagonal
+  system on the even sites, and the odd sites are carried from stage to
+  stage by two bidiagonal products.  Every stage is exactly orthogonal,
+  so the norm is conserved to rounding whatever the step, and the step
+  follows the solution's timescale rather than the largest hopping in
+  the window (see _CayleyStepper).
 * "rk45": explicit Dormand-Prince 5(4), run by scipy.integrate.RK45 with
   its per-component error test and the step bounded by dt <= 0.5/b_max
   for stability.  Kept as the cross-check route; on rapidly growing
@@ -186,31 +188,6 @@ def _norm(v: np.ndarray) -> float:
 def _mass(v: np.ndarray) -> float:
     """sum v^2 of a guard band."""
     return float((v * v).sum())
-
-
-def _stage_buffers(off: np.ndarray, rows: int) -> tuple:
-    """The work arrays of the Cayley stages on a window with couplings off, and their views.
-
-    Returns (odd, e, r).  odd = (p, q, cp, cq, o, o_q, u, u_q): the
-    couplings p and q of A_oe (see _CayleyStepper), then buffers for c p
-    and c q and for the odd sites o and u, with x_q = x[:len(q)].  e =
-    (e, e_lo, e_hi) holds the ceil(N/2) even sites and their sites j and
-    j + 1 that meet c p_j and c q_j.  r = (r, sites, lo, hi, q) holds the
-    `rows` rows of S, for the right-hand side and the increment of the
-    solve, with the same views and its first len(q) floats.  The rows past
-    the sites pad S up to 3 rows; they start at zero and stay so, since
-    S's padding rows are identity rows coupled to none.  There is no
-    scratch buffer: a product goes to whichever buffer is dead at that
-    point of the stage.
-    """
-    odd, nq = (len(off) + 1) // 2, len(off) // 2
-    cp, cq, o, u, e = (np.empty(k) for k in (odd, nq, odd, odd, nq + 1))
-    r = np.zeros(rows)
-    return (
-        (off[0::2], off[1::2], cp, cq, o, o[:nq], u, u[:nq]),
-        (e, e[:odd], e[1:]),
-        (r, r[: nq + 1], r[:odd], r[1 : nq + 1], r[:nq]),
-    )
 
 
 def _grown(n: int, cfg: EvolveConfig) -> int:
@@ -436,8 +413,11 @@ class _CayleyStepper:
 
     The increment form keeps the stage orthogonal to rounding; the form
     2 (I - cA)^-1 y - y carried over to S does not (norm error 1e-12
-    against 1e-15 after 2,000 steps on a 40-site chain).  S is built from
-    the same rounded c p and c q as the products (see _half_s).
+    against 1e-15 after 2,000 steps on a 40-site chain).  The odd sites
+    are carried from stage to stage as u: the next stage, of c_next,
+    starts from o' + c_next A_oe e' = u + (c + c_next) A_oe e', so each
+    stage forms A_oe e and A_eo u once, and o' = u + c A_oe e' is formed
+    after the last stage only.
 
     The stages share A, so the update of order p equals exp(hA) up to
     h^(p+1) A^(p+1) C with C = |sum w^(p+1)| / ((p+1) 2^p), from
@@ -464,12 +444,10 @@ class _CayleyStepper:
     steps are counted, not summed into a clock, so none is lost to
     rounding and no tolerance in t sets the unit of time.
 
-    Each cache carries the window (lo, n) it was built on, and is checked
-    against it where it is used.  _factors maps each distinct stage weight
-    to one record (c, bands, (lo, n)), which _factor reuses, extends or
-    replaces.  _stages holds ((lo, n), buffers) with the buffers of
-    _stage_buffers, made again on a new window and dropped at the end of
-    each sample interval.
+    _factors maps each distinct stage weight to one record
+    (c, bands, (lo, n)), which carries the window (lo, n) it was built on
+    and is checked against it where it is used: _factor reuses, extends
+    or replaces it.
     """
 
     _SAFETY = 3.0
@@ -479,7 +457,6 @@ class _CayleyStepper:
         self.cfg = cfg
         self.weights, order = _COMPOSITIONS[cfg.method]
         self._factors = {}
-        self._stages = None
         tol = cfg.abs_tol + cfg.rel_tol
         inv_const = (order + 1) * 2 ** order / abs(sum(w ** (order + 1) for w in self.weights))
         self._dt_acc_base = (inv_const * tol) ** (1.0 / (order + 1)) / self._SAFETY
@@ -542,9 +519,9 @@ class _CayleyStepper:
     def _half_s(self, c: float, row: int):
         """Rows row.. of S / 2 as (d, s): its diagonal and its off-diagonal.
 
-        S is built from cp_j = c b_{2j+1} and cq_j = c b_{2j+2}, which the
-        stage forms again from c for its products: a cached pair per
-        weight would add N floats of peak memory per weight.  The diagonal
+        S is built from cp_j = c b_{2j+1} and cq_j = c b_{2j+2}, rounded
+        once each; the stage takes its products with b and scales its
+        right-hand side by c, so no c b is kept.  The diagonal
         1 + cp_j^2 + cq_{j-1}^2 is summed in long double and rounded once:
         rounding each square in double made the norm drift by ~2e-15 a
         step on windows where c b reaches ~1e3.  Halving S is exact and
@@ -568,52 +545,47 @@ class _CayleyStepper:
     def _apply(self, h: float, y: np.ndarray) -> np.ndarray:
         """One composed update over step h.
 
-        Returns a new array and leaves y untouched.  The stages run in the
-        window's _stage_buffers.  A move of either edge frees the old
-        window's, and every stage is factored before the new ones are made,
-        so that no factorization meets them: the peak memory stays that of
-        one stage's temporaries.  Each product keeps the operation order of
-        the numpy expression in its comment, so each stage keeps its bits.
+        Returns a new array and leaves y untouched.  The odd sites are
+        carried across the stages as u (see _CayleyStepper).  The work
+        arrays are made after every stage is factored, so that no
+        factorization meets them: the peak memory stays that of one
+        stage's temporaries.
         """
-        at = (self.w.lo, self.w.n)
-        if self._stages and self._stages[0] != at:
-            self._stages = None
         factors = [self._factor(weight, 0.5 * weight * h) for weight in self.weights]
-        if self._stages is None:
-            rows = len(factors[0][1][1])  # S's rows: the length of its diagonal band
-            self._stages = (at, _stage_buffers(self.w.off, rows))
-        mul, sub = np.multiply, np.subtract
-        (p, q, cp, cq, o, o_q, u, u_q), (e, e_lo, e_hi), (r, r_sites, r_lo, r_hi, r_q) = self._stages[1]
-        e[:] = y[0::2]
-        o[:] = y[1::2]
-        for c, (dl, d, du, du2, ipiv) in factors:
-            mul(p, c, cp)  # the values S was built from
-            mul(q, c, cq)
-            # u = o + c A_oe e = cp e_lo + o - cq e_hi, with cq e_hi in r
-            mul(cp, e_lo, u)
-            u += o
-            mul(cq, e_hi, r_q)
-            u_q -= r_q
-            # (S / 2) delta = c A_eo u, whose row j is cq_{j-1} u_{j-1} - cp_j u_j,
-            # with cp u in o
+        p, q = self.w.off[0::2], self.w.off[1::2]
+        odd, nq = len(p), len(q)
+        e, u, t = y[0::2].copy(), y[1::2].copy(), np.empty(odd)
+        # S's rows, the length of its diagonal band; the rows past the sites
+        # start at zero and stay so, as S's padding rows are coupled to none
+        r = np.zeros(len(factors[0][1][1]))
+        e_lo, e_hi, u_q, t_q = e[:odd], e[1:], u[:nq], t[:nq]
+        r_sites, r_lo, r_hi, r_q = r[: nq + 1], r[:odd], r[1 : nq + 1], r[:nq]
+        c_prev = 0.0
+        for c, bands in factors + [(0.0, None)]:
+            # u += (c_prev + c) A_oe e, with A_oe e = p e_lo - q e_hi and q e_hi in r
+            np.multiply(p, e_lo, t)
+            np.multiply(q, e_hi, r_q)
+            t_q -= r_q
+            t *= c_prev + c
+            u += t
+            if bands is None:
+                break  # past the last stage u holds the odd sites
+            # (S / 2) delta = c A_eo u, whose row j is c (q_{j-1} u_{j-1} - p_j u_j)
             r[0] = 0.0
-            mul(cq, u_q, r_hi)
-            mul(cp, u, o)
-            sub(r_lo, o, r_lo)
+            np.multiply(q, u_q, r_hi)
+            np.multiply(p, u, t)
+            r_lo -= t
+            r *= c
             # the solve overwrites r: a contiguous float64 array is not copied
+            dl, d, du, du2, ipiv = bands
             info = lapack.dgttrs(dl, d, du, du2, ipiv, r, overwrite_b=True)[1]
             if info != 0:
                 raise RuntimeError(f"dgttrs failed with info={info}")
-            # e' = e + delta, the same bits as delta + e, then o' = u + c A_oe e',
-            # with cq e'_hi in r
             e += r_sites
-            mul(cp, e_lo, o)
-            o += u
-            mul(cq, e_hi, r_q)
-            o_q -= r_q
+            c_prev = c
         out = np.empty(len(y))
         out[0::2] = e
-        out[1::2] = o
+        out[1::2] = u
         return out
 
     def _rate(self, y: np.ndarray, dy: np.ndarray) -> float:
@@ -639,9 +611,6 @@ class _CayleyStepper:
                 raise StiffnessError(t + j * h, h, "the stage system overflows float64") from None
             if self.w.accept(y, y0, t + j * h):
                 j += 1
-        # no buffers between sample intervals, where the caller reduces the
-        # state and the next interval often starts by growing the window
-        self._stages = None
         return t_target
 
 

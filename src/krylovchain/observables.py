@@ -27,7 +27,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, OrderingError
+from .errors import ConvergenceError, CouplingOverflowError, OrderingError
 from .evolve import WaveState
 from .sequences import LanczosSequence
 
@@ -214,6 +214,14 @@ def relaxation_phi0(
     ConvergenceError when halving the depth moves the value by more than
     `tol` relatively.  A real z (zero imaginary part) runs in float
     arithmetic, bit-identical to the complex evaluation.
+
+    The fraction is evaluated in the units of b_1: phi_0(z) of the chain b
+    is phi_0(z / sigma) of the chain b / sigma, divided by sigma, with
+    sigma the power of two in (b_1 / 2, b_1].  Scaling by a power of two
+    is exact, so the value does not depend on the units of b, and no b^2
+    leaves the float range unless (b_n / b_1)^2 does.  A coupling the
+    fraction needs that is not finite raises CouplingOverflowError naming
+    the first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -223,13 +231,21 @@ def relaxation_phi0(
     if z.imag == 0.0:
         z = z.real
     sup = seq.support
+    b = seq.b_array(depth + 2 if sup is None else sup + 1)
+    finite = np.isfinite(b)
+    if not finite.all():
+        n = int(finite.argmin()) + 1
+        raise CouplingOverflowError(n, float(b[n - 1]), f"the continued fraction needs b_1..b_{len(b)}")
+    sigma = math.ldexp(1.0, math.frexp(b[0])[1] - 1)
+    b /= sigma
+    b_sq, z = np.square(b, out=b), z / sigma
     if sup is not None:
-        return _as_scalar(_cf_values(seq.b_array(sup + 1) ** 2, z, (sup,))[sup])
+        return _as_scalar(_cf_values(b_sq, z, (sup,))[sup] / sigma)
 
     d_lo = max(depth // 2, 1)
-    v = _cf_values(seq.b_array(depth + 2) ** 2, z, sorted({d_lo, d_lo + 1, depth, depth + 1}))
-    val_hi = 0.5 * (v[depth] + v[depth + 1])
-    val_lo = 0.5 * (v[d_lo] + v[d_lo + 1])
+    v = _cf_values(b_sq, z, sorted({d_lo, d_lo + 1, depth, depth + 1}))
+    val_hi = 0.5 * (v[depth] + v[depth + 1]) / sigma
+    val_lo = 0.5 * (v[d_lo] + v[d_lo + 1]) / sigma
     if abs(val_hi - val_lo) > tol * max(abs(val_hi), 1e-300):
         raise ConvergenceError(
             _as_scalar(val_lo), _as_scalar(val_hi), f"depths {d_lo} vs {depth}"

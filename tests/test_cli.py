@@ -283,6 +283,15 @@ def test_wnumber_command(tmp_path):
     assert report["value"] == pytest.approx(math.pi / 2, abs=1e-6)
 
 
+def test_wnumber_on_an_overflowing_coupling_exit_5_without_report(tmp_path):
+    # b_2 = 2e308 is inf: no report, and one message that names b_2
+    cfg = write_config(tmp_path / "w.json", {"family": {"kind": "linear", "alpha": 1e308, "gamma": 1}})
+    r = run_cli("wnumber", "--config", cfg, "--out", str(tmp_path / "w"))
+    assert r.returncode == 5
+    assert r.stderr == "coupling b_2 = inf is not finite: the continued fraction needs b_1..b_20002\n"
+    assert not (tmp_path / "w" / "wnumber_report.json").exists()
+
+
 def test_modes_command(tmp_path):
     cfg = write_config(
         tmp_path / "mod.json", {"family": {"kind": "explicit", "coefficients": [1.0, 1.0]}}

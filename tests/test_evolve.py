@@ -295,25 +295,29 @@ def test_cayley4_forward_back_round_trip():
 
 
 def _expression_stages(stp, h, y):
-    # the even-site stages of _CayleyStepper._apply written as plain numpy
-    # expressions, each evaluated left to right, on the stepper's own factors
+    # the even-site stages of _CayleyStepper._apply, with the odd sites carried
+    # across them as u, written as plain numpy expressions, each evaluated left
+    # to right, on the stepper's own factors
     from scipy.linalg import lapack
 
-    e, o, off = y[0::2], y[1::2], stp.w.off
+    e, u, off = y[0::2], y[1::2], stp.w.off
+    p, q = off[0::2], off[1::2]
+    c_prev = 0.0
     for weight in stp.weights:
         c, (dl, d, du, du2, ipiv) = stp._factor(weight, 0.5 * weight * h)
-        cp, cq = c * off[0::2], c * off[1::2]
-        u = cp * e[: len(cp)] + o
-        u[: len(cq)] -= cq * e[1:]
+        a_oe_e = p * e[: len(p)]
+        a_oe_e[: len(q)] -= q * e[1:]
+        u = u + a_oe_e * (c_prev + c)
         r = np.zeros(len(d))
-        r[1 : len(cq) + 1] = cq * u[: len(cq)]
-        r[: len(cp)] -= cp * u
-        delta = lapack.dgttrs(dl, d, du, du2, ipiv, r)[0]
-        e = delta[: len(e)] + e
-        o = cp * e[: len(cp)] + u
-        o[: len(cq)] -= cq * e[1:]
+        r[1 : len(q) + 1] = q * u[: len(q)]
+        r[: len(p)] -= p * u
+        delta = lapack.dgttrs(dl, d, du, du2, ipiv, r * c)[0]
+        e = e + delta[: len(e)]
+        c_prev = c
+    a_oe_e = p * e[: len(p)]
+    a_oe_e[: len(q)] -= q * e[1:]
     out = np.empty(len(y))
-    out[0::2], out[1::2] = e, o
+    out[0::2], out[1::2] = e, u + a_oe_e * c_prev
     return out
 
 
@@ -342,8 +346,8 @@ def test_stage_matches_dense_cayley(method, n):
 @pytest.mark.parametrize("method", ["cayley6", "cayley4", "trapezoidal"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 41])
 def test_stages_in_buffers_keep_the_bits_of_the_expressions(method, n):
-    # the stages run in buffers reused across steps and windows, and products
-    # go to whichever buffer is free; every value keeps its bits
+    # the stages run in place in a few work arrays, and products go to
+    # whichever array is free; every value keeps its bits
     from krylovchain.evolve import _CayleyStepper, _Window
 
     cfg = EvolveConfig(t_max=1.0, method=method)
@@ -394,7 +398,7 @@ def test_factor_cache_bounded_to_current_window():
 def test_caches_are_stamped_with_the_window_across_back_moves(monkeypatch):
     # b_n = sqrt(n) to t = 40 trims the back to site 1,254 and grows both
     # edges on the way: after every update the cache holds one factor set per
-    # distinct weight and the stage buffers, each on the window it was used on
+    # distinct weight, each on the window it was used on
     from krylovchain.evolve import _CayleyStepper
 
     apply, windows = _CayleyStepper._apply, []
@@ -404,7 +408,6 @@ def test_caches_are_stamped_with_the_window_across_back_moves(monkeypatch):
         at = (self.w.lo, self.w.n)
         assert self._factors.keys() == set(self.weights)
         assert all(record[2] == at for record in self._factors.values())
-        assert self._stages[0] == at
         windows.append(at)
         return out
 

@@ -7,7 +7,9 @@ import pytest
 
 from krylovchain import (
     Constant,
+    CouplingOverflowError,
     Explicit,
+    Linear,
     SqrtGrowth,
     StitchedSequence,
     Su2,
@@ -61,6 +63,26 @@ def test_constant_value_and_product_discrepancy():
     assert cls.verdict == "finite"
     assert cls.value == pytest.approx(0.5, abs=1e-9)
     assert all(p == pytest.approx(1.0) for p in cls.partial_products)
+
+
+@pytest.mark.parametrize("s", [2.0 ** -600, 1e-200, 1e-160, 1e150, 1e160, 1e200, 2.0 ** 600])
+def test_w_does_not_depend_on_the_units_of_b(s):
+    # W is an inverse energy: the chain s b has W / s.  At these s, b^2 or
+    # z^2 leaves the float range; a power of two rescales without rounding
+    for seq, unit in ((SykLike(s, 1.0), SykLike(1.0, 1.0)), (Constant(s), Constant(1.0))):
+        cls, ref = w_number(seq), w_number(unit)
+        assert cls.verdict == "finite"
+        if math.frexp(s)[0] == 0.5:
+            assert cls.value == ref.value / s
+        else:
+            assert abs(cls.value * s - ref.value) <= 1e-12 * ref.value
+
+
+def test_coupling_past_the_float_range_is_named():
+    # b_n = 1e308 n + 1 has b_2 = inf, which the fraction needs at every depth
+    with pytest.raises(CouplingOverflowError) as info:
+        w_number(Linear(1e308, 1.0))
+    assert info.value.n == 2
 
 
 @pytest.mark.parametrize(
