@@ -58,6 +58,9 @@ __all__ = [
     "series_from_profile",
 ]
 
+# the default head length of spectral_model_sequence, which config reads
+EXACT_COUNT = 96
+
 
 def _orders(n) -> np.ndarray:
     """Site index n as an integer array (0-d for an int), checked >= 0."""
@@ -314,7 +317,7 @@ def spectral_model_density(model: SpectralModel, omega: float) -> float:
     return pref * power * math.exp(-u)
 
 
-def spectral_model_sequence(model: SpectralModel, exact_count: int = 96) -> StitchedSequence:
+def spectral_model_sequence(model: SpectralModel, exact_count: int = EXACT_COUNT) -> StitchedSequence:
     """Hopping sequence of the model density: exact head, fitted linear tail.
 
     The first `exact_count` coefficients come from the exact rational

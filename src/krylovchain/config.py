@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
-from .closedforms import SpectralModel, spectral_model_sequence
+from .closedforms import EXACT_COUNT, SpectralModel, spectral_model_sequence
 from .errors import (
     NON_NEGATIVE,
     NUMBER,
@@ -219,7 +219,7 @@ def _spectral_model(p: Dict[str, Any]) -> SpectralModel:
     model = SpectralModel.with_rate(nu=p["nu"], alpha=p.get("alpha", 1.0))
     if "omega0" in p:
         model = SpectralModel(nu=p["nu"], omega0=p["omega0"])
-    at_least(8).check("exact_coefficients", p.get("exact_coefficients", 96))
+    at_least(8).check("exact_coefficients", p.get("exact_coefficients", EXACT_COUNT))
     if "alpha" in p and "omega0" in p:
         raise ParameterError("omega0", "give either alpha or omega0, not both")
     return model
@@ -335,7 +335,7 @@ def build_sequence(family: Dict[str, Any]) -> LanczosSequence:
     """LanczosSequence (or stitched spectral-model sequence) from a family dict."""
     built = _family(family)
     if isinstance(built, SpectralModel):
-        return spectral_model_sequence(built, exact_count=family.get("exact_coefficients", 96))
+        return spectral_model_sequence(built, family.get("exact_coefficients", EXACT_COUNT))
     return built
 
 

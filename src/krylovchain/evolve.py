@@ -176,11 +176,7 @@ def _hop(off: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """sqrt(sum v^2); where the squares overflow, v is first scaled by a power of two."""
-    with np.errstate(over="ignore"):
-        sq = float(np.sum(v ** 2))
-    if sq < math.inf:
-        return math.sqrt(sq)
+    """sqrt(sum v^2), with v scaled by the power of two at max |v| so that no square overflows."""
     e = math.frexp(float(np.max(np.abs(v))))[1] - 1
     return math.sqrt(float(np.sum(np.ldexp(v, -e) ** 2))) * 2.0 ** e
 

@@ -7,15 +7,17 @@ is evaluated from the continued fraction
 
     phi_0(z) = 1 / (z + b_1^2 / (z + b_2^2 / (z + ...)))
 
-as a composition of Moebius maps x -> 1 / (z + b_k^2 x), that is, the
-product of the 2x2 matrices [[0, 1], [b_k^2, z]] (Wallis / Euler-Minding
-form), which numpy multiplies pairwise, level by level.  Truncating a
-semi-infinite fraction at depth D leaves an error that alternates in
-sign between consecutive depths, so the evaluation averages depths D
-and D+1; the tail is the attracting fixed point of the last map,
-2 / (z + s) with s = +-sqrt(z^2 + 4 b^2) signed so that |z + s| is
-largest, which also reproduces the 1/z asymptote at large |z|.  Finite
-chains terminate exactly at their support, with the tail value 1/z.
+as psi_{-1} = phi_0 and psi_{k-1} = b_k / (z + b_{k+1} psi_k), b_0 = 1,
+psi_k being b_{k+1} times the fraction 1 / (z + b_{k+2}^2 / ...): the
+product of the 2x2 matrices [[0, b_k], [b_{k+1}, z]] (Wallis /
+Euler-Minding form), which squares no coupling and which numpy
+multiplies pairwise, level by level.  Truncating a semi-infinite
+fraction at depth D leaves an error that alternates in sign between
+consecutive depths, so the evaluation averages depths D and D+1; the
+tail is the attracting fixed point of the last level, 2 / (z + s) with
+s = +-b sqrt((z/b)^2 + 4) signed so that |z + s| is largest, which also
+reproduces the 1/z asymptote at large |z|.  Finite chains end exactly at
+their support.
 """
 
 from __future__ import annotations
@@ -108,15 +110,16 @@ def series_from_trajectory(states: Iterable[WaveState]) -> ObservableSeries:
     return ObservableSeries(*(list(zip(*rows)) or [()] * len(fields(ObservableSeries))))
 
 
-def _tail(b2: float, z: complex) -> complex:
-    """Attracting fixed point of x -> 1 / (z + b2 x): the value of a constant tail.
+def _tail(b: float, z: complex) -> complex:
+    """Attracting fixed point of x -> 1 / (z + b^2 x): the value of a constant tail.
 
-    The fixed points are 2 / (z + s) with s = +-sqrt(z^2 + 4 b2); the one with
-    the larger |z + s| has |b x| < 1.  b2 = 0 ends the fraction at 1/z.
+    The fixed points are 2 / (z + s) with s = +-b sqrt((z / b)^2 + 4); the one
+    with the larger |z + s| has |b x| < 1.  b <= 2^-500 |z| ends it at 1/z.
     """
-    if b2 == 0.0:
+    if abs(z) > 2.0 ** 500 * b:
         return 1.0 / z
-    s = (z * z + 4.0 * b2) ** 0.5
+    x = z / b
+    s = b * (x * x + 4.0) ** 0.5
     if abs(z - s) > abs(z + s):
         s = -s
     return 2.0 / (z + s)
@@ -141,30 +144,29 @@ def _rescaled(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _factors(b_sq: np.ndarray, beta: np.ndarray, z: complex, lo: int, hi: int) -> np.ndarray:
-    """N_k = [[0, beta_k], [b_sq[k] / beta_{k+1}, z]] for lo <= k < hi, as x[:, :, k - lo].
+def _factors(b: np.ndarray, z: complex, lo: int, hi: int) -> np.ndarray:
+    """N_k = [[0, b[k]], [b[k + 1], z]] for lo <= k < hi, as x[:, :, k - lo].
 
     Each N_k is scaled by the power of two that puts its largest entry in
     [1/2, 1), taken from the three entries without a pass over x.
     """
-    c = b_sq[lo:hi] / beta[lo + 1:hi + 1]
-    s = np.ldexp(1.0, -np.frexp(np.maximum(np.maximum(beta[lo:hi], c), abs(z)))[1])
+    s = np.ldexp(1.0, -np.frexp(np.maximum(np.maximum(b[lo:hi], b[lo + 1:hi + 1]), abs(z)))[1])
     x = np.empty((2, 2, hi - lo), dtype=complex if isinstance(z, complex) else float)
     x[0, 0] = 0.0
-    x[0, 1] = beta[lo:hi] * s
-    x[1, 0] = c * s
+    x[0, 1] = b[lo:hi] * s
+    x[1, 0] = b[lo + 1:hi + 1] * s
     x[1, 1] = z * s
     return x
 
 
-def _product(b_sq: np.ndarray, beta: np.ndarray, z: complex, lo: int, hi: int) -> tuple:
+def _product(b: np.ndarray, z: complex, lo: int, hi: int) -> tuple:
     """N_lo ... N_{hi-1} of `_factors`, up to a scalar factor, as a row-major 4-tuple.
 
     numpy multiplies neighbouring pairs level by level down to _PYTHON_BELOW
     matrices; Python multiplies those, then the factors that odd levels left
     over.
     """
-    x = _factors(b_sq, beta, z, lo, hi)
+    x = _factors(b, z, lo, hi)
     left_over = []
     while (n := x.shape[2]) > _PYTHON_BELOW:
         if n % 2:
@@ -176,25 +178,24 @@ def _product(b_sq: np.ndarray, beta: np.ndarray, z: complex, lo: int, hi: int) -
     return reduce(_mul, reversed(left_over), reduce(_mul, zip(*x.reshape(4, -1).tolist())))
 
 
-def _cf_values(b_sq: np.ndarray, z: complex, depths) -> dict:
+def _cf_values(b: np.ndarray, z: complex, depths) -> dict:
     """The fraction truncated at each of the increasing `depths`, ending in the tail at that depth.
 
-    To depth n it is the Moebius map of M_0 ... M_{n-1}, M_k = [[0, 1], [b_sq[k], z]],
-    applied to (tail, 1).  With beta_k a power of two near b_k = sqrt(b_sq[k]),
-    M_k = diag(1/beta_k, 1) N_k diag(beta_{k+1}, 1), whose N_k has entries of
-    the size of b_k and z, so that no product of b^2 overflows.  A float z
-    runs in float arithmetic, bit-identical to complex arithmetic with zero
-    imaginary parts as long as every intermediate stays finite.
+    b holds b_0 = 1, b_1, b_2, ... .  To depth n the fraction is the Moebius
+    map of N_0 ... N_{n-1}, N_k = [[0, b_k], [b_{k+1}, z]], applied to
+    (psi_{n-1}, 1) with psi_{n-1} = b_n tail(b_{n+1}).  Every entry is a
+    coupling or z, so nothing is squared and every factor is exact.  A float
+    z runs in float arithmetic, bit-identical to complex arithmetic with
+    zero imaginary parts as long as every intermediate stays finite.
     """
-    beta = np.ldexp(1.0, np.frexp(b_sq)[1] // 2)
     values = {}
     m = (1.0, 0.0, 0.0, 1.0)
     start = 0
     for n in depths:
-        m = _mul(m, _product(b_sq, beta, z, start, n))
+        m = _mul(m, _product(b, z, start, n))
         start = n
-        u = float(beta[n]) * _tail(float(b_sq[n]), z)
-        values[n] = (m[0] * u + m[1]) / (float(beta[0]) * (m[2] * u + m[3]))
+        u = float(b[n]) * _tail(float(b[n + 1]), z)
+        values[n] = (m[0] * u + m[1]) / (m[2] * u + m[3])
     return values
 
 
@@ -206,8 +207,8 @@ def relaxation_phi0(
 ) -> complex:
     """Relaxation function phi_0(z) from the continued fraction.
 
-    The fraction is the product of the 2x2 matrices [[0, 1], [b_n^2, z]],
-    taken as a numpy tree of pairwise products, applied to its tail.
+    The fraction is the product of the 2x2 matrices [[0, b_n], [b_{n+1}, z]],
+    b_0 = 1, taken as a numpy tree of pairwise products, applied to its tail.
     Finite chains are evaluated exactly (the fraction ends at the support
     with the tail 1/z).  Semi-infinite chains end in the attracting fixed
     point of the last level, average depths D and D+1, and raise
@@ -218,10 +219,9 @@ def relaxation_phi0(
     The fraction is evaluated in the units of b_1: phi_0(z) of the chain b
     is phi_0(z / sigma) of the chain b / sigma, divided by sigma, with
     sigma the power of two in (b_1 / 2, b_1].  Scaling by a power of two
-    is exact, so the value does not depend on the units of b, and no b^2
-    leaves the float range unless (b_n / b_1)^2 does.  A coupling the
-    fraction needs that is not finite raises CouplingOverflowError naming
-    the first.
+    is exact, so the value does not depend on the units of b, and the
+    factors of subnormal couplings stay in range.  A coupling the fraction
+    needs that is not finite raises CouplingOverflowError naming the first.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -237,13 +237,12 @@ def relaxation_phi0(
         n = int(finite.argmin()) + 1
         raise CouplingOverflowError(n, float(b[n - 1]), f"the continued fraction needs b_1..b_{len(b)}")
     sigma = math.ldexp(1.0, math.frexp(b[0])[1] - 1)
-    b /= sigma
-    b_sq, z = np.square(b, out=b), z / sigma
+    b, z = np.insert(b / sigma, 0, 1.0), z / sigma
     if sup is not None:
-        return _as_scalar(_cf_values(b_sq, z, (sup,))[sup] / sigma)
+        return _as_scalar(_cf_values(b, z, (sup,))[sup] / sigma)
 
     d_lo = max(depth // 2, 1)
-    v = _cf_values(b_sq, z, sorted({d_lo, d_lo + 1, depth, depth + 1}))
+    v = _cf_values(b, z, sorted({d_lo, d_lo + 1, depth, depth + 1}))
     val_hi = 0.5 * (v[depth] + v[depth + 1]) / sigma
     val_lo = 0.5 * (v[d_lo] + v[d_lo + 1]) / sigma
     if abs(val_hi - val_lo) > tol * max(abs(val_hi), 1e-300):

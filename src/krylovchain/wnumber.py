@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from .errors import ConvergenceError
 from .observables import relaxation_phi0
 from .sequences import LanczosSequence
@@ -57,17 +59,16 @@ class WClassification:
 
 
 def partial_products(seq: LanczosSequence, terms: int) -> Tuple[float, ...]:
-    """Running products prod_{k<=m} b_{2k}^2 / b_{2k-1}^2 (diagnostic only)."""
+    """Running products prod_{k<=m} b_{2k}^2 / b_{2k-1}^2, m <= terms (diagnostic only).
+
+    Taken from one b_array; the tuple ends at a finite chain's support and
+    before the first product that is not finite.
+    """
     sup = seq.support
-    out = []
-    acc = 1.0
-    for m in range(1, terms + 1):
-        odd_n, even_n = 2 * m - 1, 2 * m
-        if sup is not None and even_n > sup:
-            break
-        acc *= (seq.b(even_n) / seq.b(odd_n)) ** 2
-        out.append(acc)
-    return tuple(out)
+    b = seq.b_array(2 * (terms if sup is None else min(terms, sup // 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.cumprod((b[1::2] / b[0::2]) ** 2)
+    return tuple(p[:np.append(np.isfinite(p), False).argmin()].tolist())
 
 
 def _extrapolate_to_zero(xs, ys) -> float:

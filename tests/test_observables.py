@@ -17,6 +17,7 @@ from krylovchain import (
     OrderingError,
     PowerLaw,
     SqrtGrowth,
+    StitchedSequence,
     SykLike,
     complexity,
     entropy,
@@ -199,10 +200,11 @@ def complex_phi0(seq, z, depth=20000, tol=1e-10):
     """
     z = complex(z)
     if seq.support is not None:
-        b_sq = seq.b_array(seq.support + 1) ** 2
-        return ("value", complex_scalar(_cf_values(b_sq, z, (seq.support,))[seq.support]))
+        b = np.insert(seq.b_array(seq.support + 1), 0, 1.0)
+        return ("value", complex_scalar(_cf_values(b, z, (seq.support,))[seq.support]))
     d_lo = max(depth // 2, 1)
-    v = _cf_values(seq.b_array(depth + 2) ** 2, z, sorted({d_lo, d_lo + 1, depth, depth + 1}))
+    b = np.insert(seq.b_array(depth + 2), 0, 1.0)
+    v = _cf_values(b, z, sorted({d_lo, d_lo + 1, depth, depth + 1}))
     hi = 0.5 * (v[depth] + v[depth + 1])
     lo = 0.5 * (v[d_lo] + v[d_lo + 1])
     if abs(hi - lo) > tol * max(abs(hi), 1e-300):
@@ -264,7 +266,7 @@ class TestTreeProduct:
     @pytest.mark.parametrize("b2", [1e-2, 1.0, 1e8])
     @pytest.mark.parametrize("z", [1e-4, 2.0, -3.0, 0.3 + 0.2j, 1e6])
     def test_tail_is_the_attracting_fixed_point(self, b2, z):
-        x = _tail(b2, z)
+        x = _tail(math.sqrt(b2), z)
         assert abs(x * (z + b2 * x) - 1.0) <= 1e-13
         assert abs(math.sqrt(b2) * x) < 1.0
 
@@ -281,6 +283,19 @@ class TestTreeProduct:
             got = relaxation_phi0(Constant(1e150), 1e140, depth=4000)
         want = loop_phi0(Constant(1e150), 1e140, 4000)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_couplings_past_1e154_of_b_1_do_not_overflow(self):
+        # b_1^2 phi_1 is below the rounding of z = 0.5: phi_0 = 1/z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert relaxation_phi0(StitchedSequence(head=(1e-160,), alpha=1.0), 0.5) == 2.0
+
+    @pytest.mark.parametrize("z", [0.5, 0.3 + 0.2j])
+    def test_vanishing_tail_couplings_end_in_1_over_z(self, z):
+        # b_n = 1e-200 n past b_1 = 1: (z / b)^2 leaves the float range in
+        # the tail, whose value is 1/z, so phi_0 = 1 / (z + 1/z)
+        got = relaxation_phi0(StitchedSequence(head=(1.0,), alpha=1e-200), z)
+        assert abs(got - z / (z * z + 1.0)) <= 1e-15 * abs(got)
 
 
 class TestRealAxisArithmetic:

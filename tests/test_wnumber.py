@@ -1,6 +1,7 @@
 """Ergodicity indicator: structural classification and finite values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from krylovchain import (
     CouplingOverflowError,
     Explicit,
     Linear,
+    LogGrowth,
+    PowerLaw,
     SqrtGrowth,
     StitchedSequence,
     Su2,
@@ -108,6 +111,47 @@ def test_partial_products_values():
     assert prods[0] == pytest.approx(4.0)
     assert prods[1] == pytest.approx((8 / 3) ** 2)
     assert prods[2] == pytest.approx((48 / 15) ** 2)
+
+
+def reference_partial_products(seq, terms):
+    """The running products term by term, from seq.b."""
+    out, acc = [], 1.0
+    for m in range(1, terms + 1):
+        if seq.support is not None and 2 * m > seq.support:
+            break
+        acc *= (seq.b(2 * m) / seq.b(2 * m - 1)) ** 2
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seq", [
+    SykLike(1.0, 1.0), SykLike(1.0, 2.0), SqrtGrowth(1.0), Constant(1.0),
+    PowerLaw(1.0, 0.5), LogGrowth(1.0, 0.0, 1),
+], ids=repr)
+def test_partial_products_match_the_term_by_term_loop(seq):
+    assert partial_products(seq, 48) == reference_partial_products(seq, 48)
+
+
+@pytest.mark.parametrize("seq,verdict", [
+    (Explicit((1e-160, 1.0, 1.0)), "zero"),
+    (StitchedSequence(head=(1e-160,), alpha=1.0), "infinite"),
+])
+def test_partial_products_end_before_a_square_leaves_the_float_range(seq, verdict):
+    # (b_2 / b_1)^2 = 1e320: no product is finite, so none is reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cls = w_number(seq)
+    assert cls.verdict == verdict
+    assert cls.partial_products == ()
+
+
+@pytest.mark.parametrize("s", [2.0 ** 600, 2.0 ** -600])
+def test_trace_of_a_chain_past_1e154_scales_with_its_units(s):
+    # b_n / b_1 = 1e160 n: b_n^2 / b_1^2 is past the float range, b_n / b_1 is not
+    unit = w_number(StitchedSequence(head=(1e-100,), alpha=1e60))
+    cls = w_number(StitchedSequence(head=(1e-100 * s,), alpha=1e60 * s))
+    assert unit.verdict == cls.verdict == "infinite"
+    assert cls.cf_trace == tuple((z * s, v / s) for z, v in unit.cf_trace)
 
 
 def test_trace_attached():
