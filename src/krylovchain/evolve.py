@@ -98,6 +98,8 @@ class WaveState:
     amplitudes is read only; norm_error = |sum phi^2 - 1|; tail_mass is
     the squared mass in the trailing guard band (0 when no coupling leaves
     the window, as at the end of a finite chain: nothing is truncated).
+    amplitudes[:lo] is zero, so a reduction over the occupied window
+    reads amplitudes[lo:] only; lo is the evolving window's back edge.
     """
 
     t: float
@@ -105,12 +107,14 @@ class WaveState:
     active_size: int
     norm_error: float
     tail_mass: float
+    lo: int = 0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=float)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "active_size", int(self.active_size))
+        object.__setattr__(self, "lo", int(self.lo))
 
 
 @dataclass(frozen=True)
@@ -168,11 +172,59 @@ def rhs(state: WaveState, seq: LanczosSequence) -> np.ndarray:
 
 
 def _hop(off: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """A y for the hopping generator whose couplings off = b_1..b_{N-1}."""
-    out = np.zeros(len(y))
-    out[1:] = off * y[:-1]
-    out[:-1] -= off * y[1:]
+    """A y for the hopping generator whose couplings off = b_1..b_{N-1}.
+
+    The odd sites of A y are A_oe on the even sites of y, and its even
+    sites A_eo on the odd ones (see _Hopping).
+    """
+    p, q = off[0::2], off[1::2]
+    out = np.empty(len(y))
+    hop = _Hopping(p, q, y[0::2], y[1::2], out[0::2], out[1::2], np.empty(len(q)), np.empty(len(p)))
+    hop.a_oe()
+    hop.a_eo()
     return out
+
+
+class _Hopping:
+    """The two halves of A between fixed arrays, with their slices made once.
+
+    With p_j = b_{2j+1} and q_j = b_{2j+2}, counted in window sites, A
+    maps the even sites e to the odd ones by A_oe, and the odd sites o to
+    the even ones by A_eo = -A_oe^T:
+
+        (A_oe e)_j = p_j e_j - q_j e_{j+1},   (A_eo o)_j = q_{j-1} o_{j-1} - p_j o_j.
+
+    a_oe() writes A_oe e to odd_out (len(p) floats) and a_eo() writes
+    A_eo o to even_out[:len(q) + 1], leaving any rows past those alone;
+    each returns its output.  q_tmp (len(q) floats) and p_tmp (len(p))
+    take the products that are subtracted, and may be the other product's
+    output where that is free.  _hop and the Cayley stage share these.
+    """
+
+    __slots__ = ("p", "q", "e_lo", "e_hi", "o", "o_q", "even_out", "even_first", "even_lo",
+                 "even_hi", "odd_out", "odd_q", "q_tmp", "p_tmp")
+
+    def __init__(self, p, q, e, o, even_out, odd_out, q_tmp, p_tmp):
+        nq = len(q)
+        self.p, self.q = p, q
+        self.e_lo, self.e_hi, self.o, self.o_q = e[: len(p)], e[1:], o, o[:nq]
+        self.even_out, self.even_first = even_out, even_out[:1]
+        self.even_lo, self.even_hi = even_out[: len(p)], even_out[1 : nq + 1]
+        self.odd_out, self.odd_q = odd_out, odd_out[:nq]
+        self.q_tmp, self.p_tmp = q_tmp, p_tmp
+
+    def a_oe(self) -> np.ndarray:
+        np.multiply(self.p, self.e_lo, self.odd_out)
+        np.multiply(self.q, self.e_hi, self.q_tmp)
+        self.odd_q -= self.q_tmp
+        return self.odd_out
+
+    def a_eo(self) -> np.ndarray:
+        self.even_first.fill(0.0)
+        np.multiply(self.q, self.o_q, self.even_hi)
+        np.multiply(self.p, self.o, self.p_tmp)
+        self.even_lo -= self.p_tmp
+        return self.even_out
 
 
 def _norm(v: np.ndarray) -> float:
@@ -181,9 +233,22 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(np.sum(np.ldexp(v, -e) ** 2))) * 2.0 ** e
 
 
-def _mass(v: np.ndarray) -> float:
-    """sum v^2 of a guard band."""
-    return float((v * v).sum())
+def _split(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The even and odd sites of y, as two new contiguous arrays."""
+    return y[0::2].copy(), y[1::2].copy()
+
+
+def _band(e: np.ndarray, o: np.ndarray, i: int, k: int) -> float:
+    """sum phi^2 over the window sites i..k-1 (0 <= i) of the split state (e, o)."""
+    a, b = e[(i + 1) // 2 : (k + 1) // 2], o[i // 2 : k // 2]
+    return float(a.dot(a) + b.dot(b))
+
+
+def _zero_padded(v: np.ndarray, size: int) -> np.ndarray:
+    """v followed by zeros up to size entries."""
+    out = np.zeros(size)
+    out[: len(v)] = v
+    return out
 
 
 def _grown(n: int, cfg: EvolveConfig) -> int:
@@ -231,7 +296,11 @@ def active_window_policy(state: WaveState, cfg: EvolveConfig) -> int:
 class _Window:
     """Active window [lo, n) bookkeeping shared by both steppers.
 
-    y holds phi_lo..phi_{n-1}; b holds b_1..b_n from site 0 on, so the
+    The window holds phi_lo..phi_{n-1} split by parity for the whole run:
+    e[j] = phi_{lo+2j} and o[j] = phi_{lo+2j+1}, the sites counted from
+    lo, as the Cayley stage works on them.  state() is the only place that
+    interleaves them.  A step hands accept a new pair, so a refused step
+    leaves e and o as they were.  b holds b_1..b_n from site 0 on, so the
     back edge moves without evaluating couplings again, and `off` is the
     couplings b_{lo+1}..b_{n-1} inside the window.  The front grows ahead
     of the packet and the back follows it, by two rules, each in one
@@ -251,37 +320,42 @@ class _Window:
         sup = seq.support
         self.cap = cfg.max_active_size if sup is None else min(sup + 1, cfg.max_active_size)
         if initial is None:
-            n0 = min(max(2 * cfg.guard_band, 16), self.cap)
-            self.y = np.zeros(n0)
-            self.y[0] = 1.0
+            y = np.zeros(min(max(2 * cfg.guard_band, 16), self.cap))
+            y[0] = 1.0
         else:
-            self.y = np.array(initial, dtype=float)
-            if len(self.y) > self.cap:
+            y = np.asarray(initial, dtype=float)
+            if len(y) > self.cap:
                 raise ValueError("initial state longer than the window cap")
-        self.b = seq.b_array(len(self.y))
+        self.b = seq.b_array(len(y))
         m = _finite_prefix(self.b)
-        if m < self.n:
+        if m < len(y):
             if initial is not None:
                 raise CouplingOverflowError(m, float(self.b[m - 1]))
-            self.y, self.b = self.y[:m], self.b[:m]
+            y, self.b = y[:m], self.b[:m]
+        self.e, self.o = _split(y)
         self._masses = None
 
     @property
     def n(self) -> int:
-        return self.lo + len(self.y)
+        return self.lo + len(self.e) + len(self.o)
 
     @property
     def off(self) -> np.ndarray:
         return self.b[self.lo : self.n - 1]
 
-    def tail_mass(self) -> float:
+    def _tail_band(self, e: np.ndarray, o: np.ndarray) -> float:
+        """The squared mass of (e, o) in the trailing guard band (see tail_mass)."""
         if self.b[-1] == 0.0:
             return 0.0  # no coupling leaves the window: nothing is truncated
-        return _mass(self.y[-self.cfg.guard_band :])
+        m = len(e) + len(o)
+        return _band(e, o, max(m - self.cfg.guard_band, 0), m)
+
+    def tail_mass(self) -> float:
+        return self._tail_band(self.e, self.o)
 
     def head_mass(self) -> float:
         """The squared mass in the leading guard band; 0 at lo = 0, where b_0 = 0 holds it in."""
-        return _mass(self.y[: self.cfg.guard_band]) if self.lo else 0.0
+        return _band(self.e, self.o, 0, self.cfg.guard_band) if self.lo else 0.0
 
     def resize(self, new_n: int) -> None:
         """Grow to new_n sites, or to fewer where a coupling is not finite.
@@ -298,16 +372,22 @@ class _Window:
         # b_1..b_n are kept; only the new tail is evaluated
         tail = self.seq.b_array(new_n - self.n, start=self.n + 1)
         tail = tail[: _finite_prefix(tail)]
-        y = np.zeros(len(self.y) + len(tail))
-        y[: len(self.y)] = self.y
+        m = self.n - self.lo + len(tail)
+        e, o = _zero_padded(self.e, (m + 1) // 2), _zero_padded(self.o, m // 2)
         self.b = np.concatenate((self.b, tail))
-        self.y = y
+        self.e, self.o = e, o
 
     def grow_back(self) -> None:
-        """Move lo back by the growth rule's step for the window's size, but not past 0."""
-        m = len(self.y)
+        """Move lo back by the growth rule's step for the window's size, but not past 0.
+
+        An odd step swaps the parity of every site.
+        """
+        m = self.n - self.lo
         lo = max(self.lo - (_grown(m, self.cfg) - m), 0)
-        self.y = np.concatenate((np.zeros(self.lo - lo), self.y))
+        d = self.lo - lo
+        e, o = (self.o, self.e) if d % 2 else (self.e, self.o)
+        self.e = np.concatenate((np.zeros((d + 1) // 2), e))
+        self.o = np.concatenate((np.zeros(d // 2), o))
         self.lo = lo
 
     def trim(self, band: float) -> None:
@@ -318,17 +398,21 @@ class _Window:
         sites costs no further sum.  Otherwise the longest leading run of at most that mass goes,
         but for guard_band sites of it, provided at least a quarter of the
         window goes and 64 sites or more stay: each change of lo refactors
-        every stage.
+        every stage.  An odd cut swaps the parity of every site.
         """
-        g, keep, m = self.cfg.guard_band, self.keep, len(self.y)
+        g, keep, m = self.cfg.guard_band, self.keep, len(self.e) + len(self.o)
         quarter = -(-m // 4)
         if m - quarter < 64:
             return
-        if band > keep or _mass(self.y[: quarter + g]) > keep:
+        if band > keep or _band(self.e, self.o, 0, quarter + g) > keep:
             return
-        run = int(np.searchsorted(np.cumsum(self.y ** 2), keep, side="right"))
+        squares = np.empty(m)
+        np.square(self.e, out=squares[0::2])
+        np.square(self.o, out=squares[1::2])
+        run = int(np.searchsorted(np.cumsum(squares), keep, side="right"))
         cut = min(run - g, m - 64)
-        self.y = self.y[cut:]
+        e, o = self.e[(cut + 1) // 2 :], self.o[cut // 2 :]
+        self.e, self.o = (o, e) if cut % 2 else (e, o)
         self.lo += cut
         self._masses = None
 
@@ -337,18 +421,18 @@ class _Window:
 
         Every growth happens here, before a step and before the redo of a
         refused one.  The guard-band sums are those of the step accept last
-        tried, taken or refused, or of y when there are none (the first
-        step, or after a trim).  The back grows when its leading band holds
-        more than keep.  The front grows when its trailing band holds more
-        than keep while lo = 0, and more than a tenth of keep once the back
-        has moved.  Each implicit stage spreads the truncation at the front
-        over the whole window in one step; at keep, the leading quarter of
-        a trimmed window fills to keep too (1.9e-14 on b_n = sqrt(n) at
-        t = 93, where the closed form holds 6.7e-56), and the trim stops
-        following the packet.  While lo = 0 nothing is trimmed yet, and
-        growing sooner would only widen the window: the nu = 2 point of
-        docs/examples/evolve_spectral_sweep.json would end on 534,160
-        sites instead of 476,921.
+        tried, taken or refused, or of e and o when there are none (the
+        first step, or after a trim).  The back grows when its leading band
+        holds more than keep.  The front grows when its trailing band holds
+        more than keep while lo = 0, and more than a tenth of keep once the
+        back has moved.  Each implicit stage spreads the truncation at the
+        front over the whole window in one step; at keep, the leading
+        quarter of a trimmed window fills to keep too (1.9e-14 on
+        b_n = sqrt(n) at t = 93, where the closed form holds 6.7e-56), and
+        the trim stops following the packet.  While lo = 0 nothing is
+        trimmed yet, and growing sooner would only widen the window: the
+        nu = 2 point of docs/examples/evolve_spectral_sweep.json would end
+        on 534,160 sites instead of 476,921.
         """
         tail, head = self._masses or (self.tail_mass(), self.head_mass())
         self._masses = None
@@ -357,36 +441,38 @@ class _Window:
         if head > self.keep:
             self.grow_back()
 
-    def accept(self, y: np.ndarray, y0: np.ndarray, t: float) -> bool:
-        """Take the step y from y0 at t unless a guard band holds more than truncation_tol.
+    def accept(self, e: np.ndarray, o: np.ndarray, t: float) -> bool:
+        """Take the step (e, o) at t unless a guard band holds more than truncation_tol.
 
-        An accepted step may trim the back (see trim).  A refused step puts
-        back y0 and leaves the window as it was: the sums it leaves make the
-        next ensure_headroom grow the overfull edge before the caller redoes
-        the step.  A front at the cap raises ResourceLimitError reporting t.
+        An accepted step may trim the back (see trim).  A refused step
+        leaves the window's e and o as they were: the sums it leaves make
+        the next ensure_headroom grow the overfull edge before the caller
+        redoes the step.  A front at the cap raises ResourceLimitError
+        reporting t.
         """
-        self.y = y
-        tail, band = self.tail_mass(), _mass(y[: self.cfg.guard_band])
+        tail, band = self._tail_band(e, o), _band(e, o, 0, self.cfg.guard_band)
         head = band if self.lo else 0.0
         self._masses = (tail, head)
         front, back = tail > self.cfg.truncation_tol, head > self.cfg.truncation_tol
         if not (front or back):
+            self.e, self.o = e, o
             self.trim(band)
             return True
         if front and self.n >= self.cap:
             raise ResourceLimitError(t, self.cfg.max_active_size)
-        self.y = y0
         return False
 
     def state(self, t: float) -> WaveState:
         amplitudes = np.zeros(self.n)
-        amplitudes[self.lo :] = self.y
+        amplitudes[self.lo :: 2] = self.e
+        amplitudes[self.lo + 1 :: 2] = self.o
         return WaveState(
             t=t,
             amplitudes=amplitudes,
             active_size=self.n,
-            norm_error=abs(float(np.sum(self.y ** 2)) - 1.0),
+            norm_error=abs(float(np.sum(amplitudes[self.lo :] ** 2)) - 1.0),
             tail_mass=self.tail_mass(),
+            lo=self.lo,
         )
 
 
@@ -397,12 +483,14 @@ class _CayleyStepper:
     (I - cA)^-1 (I + cA) with c = w h / 2; the update is the product of
     the stages of cfg.method (see _COMPOSITIONS).
 
-    A stage runs on the even sites e and odd sites o of phi.  With
+    A stage runs on the even sites e and odd sites o of phi, which the
+    window keeps apart for the whole run (see _Window).  With
     p_j = b_{2j+1} and q_j = b_{2j+2}, A maps even to odd sites by
-    (A_oe e)_j = p_j e_j - q_j e_{j+1}, and A_eo = -A_oe^T.  Eliminating
-    the odd sites leaves S = I + c^2 A_oe^T A_oe, symmetric positive
-    definite and tridiagonal on ceil(N/2) sites (Golub & Van Loan, Matrix
-    Computations, 4.3).  The stage solves S for the increment of e:
+    (A_oe e)_j = p_j e_j - q_j e_{j+1}, and A_eo = -A_oe^T (see
+    _Hopping).  Eliminating the odd sites leaves
+    S = I + c^2 A_oe^T A_oe, symmetric positive definite and tridiagonal
+    on ceil(N/2) sites (Golub & Van Loan, Matrix Computations, 4.3).  The
+    stage solves S for the increment of e:
 
         u = o + c A_oe e,   S delta = 2 c A_eo u,
         e' = e + delta,     o' = u + c A_oe e'.
@@ -413,7 +501,10 @@ class _CayleyStepper:
     are carried from stage to stage as u: the next stage, of c_next,
     starts from o' + c_next A_oe e' = u + (c + c_next) A_oe e', so each
     stage forms A_oe e and A_eo u once, and o' = u + c A_oe e' is formed
-    after the last stage only.
+    after the last stage only.  S is factored with one array as its sub-
+    and superdiagonal, so S^T = S holds bit for bit and the stage solves
+    with the transposed LU (dgttrs trans="T"), which runs faster than the
+    plain one on these bands.
 
     The stages share A, so the update of order p equals exp(hA) up to
     h^(p+1) A^(p+1) C with C = |sum w^(p+1)| / ((p+1) 2^p), from
@@ -443,7 +534,10 @@ class _CayleyStepper:
     _factors maps each distinct stage weight to one record
     (c, bands, (lo, n)), which carries the window (lo, n) it was built on
     and is checked against it where it is used: _factor reuses, extends
-    or replaces it.
+    or replaces it.  The k steps of an interval share one _Plan, built by
+    _plan_for from those records, so that a step makes no lookup and no
+    array unless its h or its window changed; advance drops the plan when
+    the interval ends.
     """
 
     _SAFETY = 3.0
@@ -453,10 +547,12 @@ class _CayleyStepper:
         self.cfg = cfg
         self.weights, order = _COMPOSITIONS[cfg.method]
         self._factors = {}
+        self.plan = None
         tol = cfg.abs_tol + cfg.rel_tol
         inv_const = (order + 1) * 2 ** order / abs(sum(w ** (order + 1) for w in self.weights))
         self._dt_acc_base = (inv_const * tol) ** (1.0 / (order + 1)) / self._SAFETY
-        self._dt_acc = self._dt_acc_base / self._rate(window.y, _hop(window.off, window.y))
+        y = window.state(0.0).amplitudes  # lo = 0 on a new window
+        self._dt_acc = self._dt_acc_base / self._rate(y, _hop(window.off, y))
 
     def _factor(self, weight: float, c: float):
         """(c', bands) for the even-site system S = I + c'^2 A_oe^T A_oe.
@@ -538,51 +634,50 @@ class _CayleyStepper:
             np.multiply(-0.5 * cp[: len(cq)], cq, out=s[: len(cq)])
         return d, s
 
-    def _apply(self, h: float, y: np.ndarray) -> np.ndarray:
-        """One composed update over step h.
+    def _plan_for(self, h: float) -> "_Plan":
+        """The plan of step h on the window as it is now, built when (h, lo, n) has changed.
 
-        Returns a new array and leaves y untouched.  The odd sites are
-        carried across the stages as u (see _CayleyStepper).  The work
-        arrays are made after every stage is factored, so that no
-        factorization meets them: the peak memory stays that of one
-        stage's temporaries.
+        The old plan goes first, so that its work arrays are freed before
+        the new factors and arrays are made.
         """
-        factors = [self._factor(weight, 0.5 * weight * h) for weight in self.weights]
-        p, q = self.w.off[0::2], self.w.off[1::2]
-        odd, nq = len(p), len(q)
-        e, u, t = y[0::2].copy(), y[1::2].copy(), np.empty(odd)
-        # S's rows, the length of its diagonal band; the rows past the sites
-        # start at zero and stay so, as S's padding rows are coupled to none
-        r = np.zeros(len(factors[0][1][1]))
-        e_lo, e_hi, u_q, t_q = e[:odd], e[1:], u[:nq], t[:nq]
-        r_sites, r_lo, r_hi, r_q = r[: nq + 1], r[:odd], r[1 : nq + 1], r[:nq]
+        at = (h, self.w.lo, self.w.n)
+        if self.plan is None or self.plan.at != at:
+            self.plan = None
+            stages = [self._factor(weight, 0.5 * weight * h) for weight in self.weights]
+            self.plan = _Plan(at, stages, self.w)
+        return self.plan
+
+    def _apply(self, h: float) -> Tuple[np.ndarray, np.ndarray]:
+        """One composed update over step h of the window's (e, o); returns the new pair.
+
+        The stages run in place in the pair of the plan that the window
+        does not hold (see _Plan), so the window's e and o are left as
+        they were for the redo of a refused step.  The odd sites are
+        carried across the stages as u (see _CayleyStepper).
+        """
+        plan = self._plan_for(h)
+        e, u, hop = plan.spare(self.w.e)
+        e[:] = self.w.e
+        u[:] = self.w.o
+        r_sites = plan.r_sites
         c_prev = 0.0
-        for c, bands in factors + [(0.0, None)]:
-            # u += (c_prev + c) A_oe e, with A_oe e = p e_lo - q e_hi and q e_hi in r
-            np.multiply(p, e_lo, t)
-            np.multiply(q, e_hi, r_q)
-            t_q -= r_q
+        for c, bands in plan.stages:
+            t = hop.a_oe()
             t *= c_prev + c
             u += t
             if bands is None:
                 break  # past the last stage u holds the odd sites
-            # (S / 2) delta = c A_eo u, whose row j is c (q_{j-1} u_{j-1} - p_j u_j)
-            r[0] = 0.0
-            np.multiply(q, u_q, r_hi)
-            np.multiply(p, u, t)
-            r_lo -= t
+            # (S / 2) delta = c A_eo u, in r, whose padding rows stay zero
+            r = hop.a_eo()
             r *= c
             # the solve overwrites r: a contiguous float64 array is not copied
             dl, d, du, du2, ipiv = bands
-            info = lapack.dgttrs(dl, d, du, du2, ipiv, r, overwrite_b=True)[1]
+            info = lapack.dgttrs(dl, d, du, du2, ipiv, r, trans="T", overwrite_b=True)[1]
             if info != 0:
                 raise RuntimeError(f"dgttrs failed with info={info}")
             e += r_sites
             c_prev = c
-        out = np.empty(len(y))
-        out[0::2] = e
-        out[1::2] = u
-        return out
+        return e, u
 
     def _rate(self, y: np.ndarray, dy: np.ndarray) -> float:
         """||d phi/dt|| / ||phi|| over the whole window; dy = A y."""
@@ -599,15 +694,49 @@ class _CayleyStepper:
                 # planned after the interval's first growth, so that a
                 # coupling that overflows there is named first
                 h, k = _equal_steps(t, t_target, self._dt_acc)
-            # _apply leaves y0 intact for a redo
-            y0 = self.w.y
             try:
-                y = self._apply(h, y0)
+                e, o = self._apply(h)
             except FloatingPointError:
                 raise StiffnessError(t + j * h, h, "the stage system overflows float64") from None
-            if self.w.accept(y, y0, t + j * h):
+            if self.w.accept(e, o, t + j * h):
                 j += 1
+        self.plan = None  # the work arrays are not kept past the interval
         return t_target
+
+
+class _Plan:
+    """The stages of one step length h on one window (lo, n), and the work arrays of _apply.
+
+    at = (h, lo, n).  stages holds (c, bands) per stage weight, then
+    (0, None) for the closing half-product o' = u + c A_oe e'.  r has S's
+    rows: the right-hand side and then the solution of each solve, of
+    which r_sites covers the sites.  t has one float per odd site.  The
+    plan keeps two pairs (e, u), the window's own when the plan was built
+    and one more, each with the _Hopping from it into t and r.  A step
+    writes the pair that the window does not hold, so that accept can
+    take it as it is and a refused step leaves the window's pair intact.
+    """
+
+    __slots__ = ("at", "stages", "r_sites", "pairs")
+
+    def __init__(self, at: tuple, stages: list, window: _Window):
+        self.at = at
+        self.stages = stages + [(0.0, None)]
+        off = window.off
+        p, q = off[0::2], off[1::2]
+        # S's rows past the sites start at zero and stay so, as S's padding
+        # rows are coupled to none
+        r, t = np.zeros(len(stages[0][1][1])), np.empty(len(p))
+        self.r_sites = r[: len(q) + 1]
+        self.pairs = tuple(
+            (e, u, _Hopping(p, q, e, u, r, t, r[: len(q)], t))
+            for e, u in ((window.e, window.o), (np.empty(len(q) + 1), np.empty(len(p))))
+        )
+
+    def spare(self, e: np.ndarray) -> tuple:
+        """(e', u', hopping) of the pair whose even sites are not e."""
+        first, second = self.pairs
+        return second if first[0] is e else first
 
 
 class _RK45Stepper:
@@ -644,16 +773,15 @@ class _RK45Stepper:
                 with np.errstate(over="ignore", invalid="ignore"):
                     solver = RK45(
                         lambda _t, y, off=w.off: _hop(off, y),
-                        t, w.y, t_target, first_step=first, max_step=max_step,
-                        rtol=self.cfg.rel_tol, atol=self.cfg.abs_tol,
+                        t, w.state(t).amplitudes[w.lo :], t_target, first_step=first,
+                        max_step=max_step, rtol=self.cfg.rel_tol, atol=self.cfg.abs_tol,
                     )
                 built = (w.lo, w.n)
-            y0 = w.y
             message = solver.step()
             if solver.status == "failed":
                 raise StiffnessError(t, solver.h_abs, f"rk45: {message}")
             self.h = solver.h_abs
-            if w.accept(solver.y, y0, t):
+            if w.accept(*_split(solver.y), t):
                 t = solver.t
         return t
 

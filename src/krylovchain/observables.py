@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import reduce
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -73,18 +73,24 @@ class ObservableSeries:
 
 
 def _probabilities(state: WaveState) -> np.ndarray:
-    return state.amplitudes ** 2
+    """|phi_n|^2 for n >= state.lo, the occupied window: the sites below are zero."""
+    return state.amplitudes[state.lo :] ** 2
 
 
-def complexity(state: WaveState) -> float:
-    """Mean position sum n |phi_n|^2 over the active window."""
-    p = _probabilities(state)
-    return float(np.sum(np.arange(len(p)) * p))
+def complexity(state: WaveState, p: Optional[np.ndarray] = None) -> float:
+    """Mean position sum n |phi_n|^2 over the occupied window.
+
+    p, when given, is the state's probabilities from site lo on, as
+    _row squares them once for both reductions.
+    """
+    if p is None:
+        p = _probabilities(state)
+    return float(np.sum(np.arange(state.lo, state.lo + len(p)) * p))
 
 
-def entropy(state: WaveState) -> float:
-    """Shannon entropy -sum p ln p in nats, with 0 ln 0 = 0."""
-    return entropy_of_probabilities(_probabilities(state))
+def entropy(state: WaveState, p: Optional[np.ndarray] = None) -> float:
+    """Shannon entropy -sum p ln p in nats, with 0 ln 0 = 0; p as in complexity."""
+    return entropy_of_probabilities(_probabilities(state) if p is None else p)
 
 
 def entropy_of_probabilities(p: np.ndarray) -> float:
@@ -96,8 +102,9 @@ def entropy_of_probabilities(p: np.ndarray) -> float:
 
 
 def _row(st: WaveState) -> tuple:
-    """One row of the series, in field order."""
-    return (st.t, complexity(st), entropy(st), float(st.amplitudes[0]), st.norm_error, st.active_size)
+    """One row of the series, in field order; the amplitudes are squared once."""
+    p = _probabilities(st)
+    return (st.t, complexity(st, p), entropy(st, p), float(st.amplitudes[0]), st.norm_error, st.active_size)
 
 
 def series_from_trajectory(states: Iterable[WaveState]) -> ObservableSeries:

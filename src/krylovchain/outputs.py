@@ -38,9 +38,13 @@ CSV_HEADER = ",".join(["t", *list(_COLUMNS)[1:]])  # the CSV names the times col
 
 
 def write_json(path: Path, doc: dict) -> None:
-    """doc as JSON with sorted keys and a two-space indent."""
+    """doc as JSON with sorted keys and a two-space indent.
+
+    A value that is not finite raises ValueError: JSON has no NaN or
+    Infinity, and a strict reader would refuse the file.
+    """
     path.write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
+        json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8", newline="\n"
     )
 
 

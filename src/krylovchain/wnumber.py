@@ -106,7 +106,16 @@ def w_number(seq: LanczosSequence, depth: int = DEPTH, tol: float = TOL) -> WCla
         for zr in _Z_LADDER:
             z = zr * b1
             val = relaxation_phi0(seq, z, depth=depth, tol=tol)
-            trace.append((z, float(val.real if isinstance(val, complex) else val)))
+            phi = float(val.real if isinstance(val, complex) else val)
+            if not math.isfinite(phi):
+                # W ~ phi_0(0+) is past the float range; the trace keeps the finite pairs
+                return WClassification(
+                    verdict="undetermined",
+                    reason=f"phi_0({z!r}) = {phi} overflows float64: W is past the float range",
+                    partial_products=products,
+                    cf_trace=tuple(trace),
+                )
+            trace.append((z, phi))
     except ConvergenceError as exc:
         return WClassification(
             verdict="undetermined",

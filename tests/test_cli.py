@@ -283,6 +283,30 @@ def test_wnumber_command(tmp_path):
     assert report["value"] == pytest.approx(math.pi / 2, abs=1e-6)
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_wnumber_past_the_float_range_is_a_strict_report(tmp_path):
+    # W = (pi / 2) / 1e-310 is past the float range: the verdict is undetermined
+    # with a reason that names the overflow, and the report holds no Infinity
+    cfg = write_config(tmp_path / "w.json", {"family": {"kind": "syk_like", "alpha": 1e-310, "eta": 1}})
+    r = run_cli("wnumber", "--config", cfg, "--out", str(tmp_path / "w"))
+    assert r.returncode == 0, r.stderr
+    text = (tmp_path / "w" / "wnumber_report.json").read_text()
+    report = json.loads(text, parse_constant=_no_constant)
+    assert report["verdict"] == "undetermined" and "overflows float64" in report["reason"]
+    assert all(math.isfinite(v) for pair in report["cf_trace"] for v in pair)
+
+
+def test_json_artifacts_refuse_values_that_are_not_finite(tmp_path):
+    from krylovchain.outputs import write_json
+
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "x.json", {"value": value})
+
+
 def test_wnumber_on_an_overflowing_coupling_exit_5_without_report(tmp_path):
     # b_2 = 2e308 is inf: no report, and one message that names b_2
     cfg = write_config(tmp_path / "w.json", {"family": {"kind": "linear", "alpha": 1e308, "gamma": 1}})

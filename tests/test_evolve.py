@@ -40,7 +40,29 @@ from krylovchain.closedforms import (
     su2_wavefunction,
     syk_wavefunction,
 )
-from krylovchain.evolve import METHODS
+from krylovchain.evolve import METHODS, _split
+
+
+def _sites(w):
+    """The window's phi_lo..phi_{n-1} as one new interleaved array."""
+    y = np.empty(w.n - w.lo)
+    y[0::2], y[1::2] = w.e, w.o
+    return y
+
+
+def _apply(stp, h, y):
+    """stp's composed update over h of the window sites y, interleaved.
+
+    The window takes y as its state first; the update is not accepted.
+    """
+    stp.w.e, stp.w.o = _split(y)
+    return _interleaved(*stp._apply(h))
+
+
+def _interleaved(e, o):
+    y = np.empty(len(e) + len(o))
+    y[0::2], y[1::2] = e, o
+    return y
 
 
 def make_state(amps, t=0.0, tail=0.0):
@@ -228,8 +250,8 @@ def test_phi0_parity():
             w.resize(80)
             stp = _CayleyStepper(w, cfg)
             for _ in range(500):
-                w.y = stp._apply(sign * 1e-3, w.y)
-            runs[sign] = w.y.copy()
+                w.e, w.o = stp._apply(sign * 1e-3)
+            runs[sign] = _sites(w)
         pos, neg = runs[1.0], runs[-1.0]
         assert neg[0] == pytest.approx(pos[0], abs=1e-12), method
         # and site parity phi_n(-t) = (-1)^n phi_n(t)
@@ -255,9 +277,9 @@ def test_fixed_step_order(method, ratio):
     for steps in (20, 40):
         w = _Window(Su2(1.0, 2.0), cfg, None)
         stp = _CayleyStepper(w, cfg)
-        y = w.y
+        y = _sites(w)
         for _ in range(steps):
-            y = stp._apply(t_end / steps, y)
+            y = _apply(stp, t_end / steps, y)
         errs.append(float(np.max(np.abs(y - ref))))
     assert errs[0] / errs[1] == pytest.approx(ratio, rel=0.25)
 
@@ -284,10 +306,10 @@ def test_cayley4_forward_back_round_trip():
     w.resize(40)
     assert w.n == 40
     stp = _CayleyStepper(w, cfg)
-    y = w.y
+    y = _sites(w)
     for h in (1e-2, -1e-2):
         for _ in range(1000):
-            y = stp._apply(h, y)
+            y = _apply(stp, h, y)
         assert abs(float(np.sum(y ** 2)) - 1.0) <= 1e-12
     start = np.zeros(40)
     start[0] = 1.0
@@ -297,7 +319,8 @@ def test_cayley4_forward_back_round_trip():
 def _expression_stages(stp, h, y):
     # the even-site stages of _CayleyStepper._apply, with the odd sites carried
     # across them as u, written as plain numpy expressions, each evaluated left
-    # to right, on the stepper's own factors
+    # to right, on the stepper's own factors; S is symmetric, and each solve
+    # takes its LU transposed
     from scipy.linalg import lapack
 
     e, u, off = y[0::2], y[1::2], stp.w.off
@@ -311,7 +334,7 @@ def _expression_stages(stp, h, y):
         r = np.zeros(len(d))
         r[1 : len(q) + 1] = q * u[: len(q)]
         r[: len(p)] -= p * u
-        delta = lapack.dgttrs(dl, d, du, du2, ipiv, r * c)[0]
+        delta = lapack.dgttrs(dl, d, du, du2, ipiv, r * c, trans="T")[0]
         e = e + delta[: len(e)]
         c_prev = c
     a_oe_e = p * e[: len(p)]
@@ -340,7 +363,7 @@ def test_stage_matches_dense_cayley(method, n):
         for weight in _COMPOSITIONS[method][0]:
             c = 0.5 * weight * h
             ref = np.linalg.solve(np.eye(n) - c * a, ref + c * (a @ ref))
-        assert np.max(np.abs(stp._apply(h, y) - ref)) <= 1e-14
+        assert np.max(np.abs(_apply(stp, h, y) - ref)) <= 1e-14
 
 
 @pytest.mark.parametrize("method", ["cayley6", "cayley4", "trapezoidal"])
@@ -356,7 +379,7 @@ def test_stages_in_buffers_keep_the_bits_of_the_expressions(method, n):
     w = _Window(SykLike(1.0, 1.5), cfg, y)
     stp = _CayleyStepper(w, cfg)
     for h in (0.3, 0.3, -0.05):
-        assert np.array_equal(stp._apply(h, y), _expression_stages(stp, h, y))
+        assert np.array_equal(_apply(stp, h, y), _expression_stages(stp, h, y))
 
 
 @pytest.mark.parametrize("method", ["cayley4", "trapezoidal"])
@@ -370,11 +393,11 @@ def test_round_trip_norm_to_rounding(method):
     w = _Window(seq, cfg, None)
     w.resize(40)
     stp = _CayleyStepper(w, cfg)
-    y = w.y
+    y = _sites(w)
     worst = 0.0
     for h in (1e-2, -1e-2):
         for _ in range(1000):
-            y = stp._apply(h, y)
+            y = _apply(stp, h, y)
             worst = max(worst, abs(float(np.sum(y ** 2)) - 1.0))
     assert worst <= 1e-14
 
@@ -387,7 +410,7 @@ def test_factor_cache_bounded_to_current_window():
     stp = _CayleyStepper(w, cfg)
     for n, h in ((w.n, 0.1), (w.n, 0.05), (3 * w.n, 0.05), (3 * w.n, 0.025)):
         w.resize(n)
-        w.y = stp._apply(h, w.y)
+        w.e, w.o = stp._apply(h)
         assert len(stp._factors) <= len(set(stp.weights))
         for weight, (c, bands, at) in stp._factors.items():
             assert c == 0.5 * weight * h
@@ -395,19 +418,113 @@ def test_factor_cache_bounded_to_current_window():
             assert at == (w.lo, w.n)
 
 
+def test_plan_serves_one_step_length_on_one_window(monkeypatch):
+    # the steps of one h on one window share a plan: they look up no factors
+    # and write one of the plan's two pairs, never the window's own.  A new h,
+    # a trim, a grown front and a moved back each build the next plan, on the
+    # window as it is then
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12)
+    y = np.zeros(1000)
+    y[600] = 1.0
+    w = _Window(SykLike(1.0, 1.0), cfg, y)
+    stp = _CayleyStepper(w, cfg)
+    factor, looked_up = stp._factor, []
+    monkeypatch.setattr(stp, "_factor", lambda weight, c: looked_up.append(weight) or factor(weight, c))
+    plans, h = [], 0.01
+    for move in ("none", "h", "trim", "front", "back"):
+        if move == "h":
+            h = 0.02
+        elif move == "trim":
+            w.trim(0.0)
+            assert w.lo > 0
+        elif move == "front":
+            w.resize(w.n + 9)
+        elif move == "back":
+            w.grow_back()
+        before = len(looked_up)
+        for _ in range(3):
+            e0 = w.e
+            w.e, w.o = stp._apply(h)
+            plan = stp.plan
+            assert plan.at == (h, w.lo, w.n)
+            assert w.e is not e0 and any(w.e is pair[0] and w.o is pair[1] for pair in plan.pairs)
+            assert len(w.e) + len(w.o) == w.n - w.lo
+        assert len(looked_up) - before == len(stp.weights), move
+        plans.append(plan)
+    assert len({id(plan) for plan in plans}) == len(plans)
+    # advance drops the plan with the interval
+    stp.advance(0.0, 0.05)
+    assert stp.plan is None
+
+
+def test_split_window_state_is_the_interleaved_vector():
+    # the window holds the even and odd sites from lo on; trims, moves of the
+    # back and growths of the front by odd and even site counts keep each
+    # site's value, and state() interleaves them into one vector, zero below lo
+    from krylovchain.evolve import _Window
+
+    cuts = set()
+    for n, start in ((300, 200), (300, 201), (301, 200), (301, 201)):
+        y = np.zeros(n)
+        y[start:260] = np.random.default_rng(n + start).standard_normal(260 - start)
+        y /= np.linalg.norm(y)
+        w = _Window(SqrtGrowth(1.0), EvolveConfig(t_max=1.0), y)
+        for move in ("none", "trim", "back", "back", "front", "front"):
+            lo, m = w.lo, w.n - w.lo
+            if move == "trim":
+                w.trim(0.0)
+            elif move == "back":
+                w.grow_back()
+            elif move == "front":
+                w.resize(w.n + 1)
+            cuts.add((move, abs(w.lo - lo) % 2, m % 2))
+            st = w.state(0.5)
+            want = np.zeros(w.n)
+            want[:n] = y
+            assert np.array_equal(st.amplitudes, want), (n, start, move)
+            assert (st.lo, st.active_size) == (w.lo, w.n)
+            assert st.norm_error == abs(float(np.sum(want[w.lo :] ** 2)) - 1.0)
+            assert (len(w.e), len(w.o)) == ((w.n - w.lo + 1) // 2, (w.n - w.lo) // 2)
+    # each move of the back by an odd and an even count, and the front grown from each parity
+    assert {(move, d) for move, d, _ in cuts if move in ("trim", "back")} == {
+        (move, d) for move in ("trim", "back") for d in (0, 1)}
+    assert {m for move, _, m in cuts if move == "front"} == {0, 1}
+
+
+def test_refused_step_leaves_the_window_pair_as_it_was():
+    # the stages run in the plan's other pair, so a refused step leaves the
+    # window's e and o as they were, bit for bit, for the redo
+    from krylovchain.evolve import _CayleyStepper, _Window
+
+    w = _Window(SykLike(1.0, 1.0), EvolveConfig(t_max=1.0, truncation_tol=1e-12), None)
+    stp = _CayleyStepper(w, w.cfg)
+    e0, o0 = w.e, w.o
+    kept = e0.copy(), o0.copy()
+    e, o = stp._apply(2.0)  # fills the trailing band of the 16 sites past truncation_tol
+    assert e is not e0 and o is not o0
+    assert not w.accept(e, o, 0.0)
+    assert w.e is e0 and w.o is o0
+    assert np.array_equal(w.e, kept[0]) and np.array_equal(w.o, kept[1])
+
+
 def test_caches_are_stamped_with_the_window_across_back_moves(monkeypatch):
     # b_n = sqrt(n) to t = 40 trims the back to site 1,254 and grows both
     # edges on the way: after every update the cache holds one factor set per
-    # distinct weight, each on the window it was used on
+    # distinct weight, each on the window it was used on, and the step ran on
+    # the plan of its own h and window
     from krylovchain.evolve import _CayleyStepper
 
     apply, windows = _CayleyStepper._apply, []
 
-    def checked(self, h, y):
-        out = apply(self, h, y)
+    def checked(self, h):
+        out = apply(self, h)
         at = (self.w.lo, self.w.n)
         assert self._factors.keys() == set(self.weights)
         assert all(record[2] == at for record in self._factors.values())
+        assert self.plan.at == (h,) + at
+        assert [c for c, _ in self.plan.stages[:-1]] == [self._factors[w][0] for w in self.weights]
         windows.append(at)
         return out
 
@@ -476,7 +593,7 @@ def test_factors_extend_across_window_growth(monkeypatch, seq, h, pivots):
     cfg = EvolveConfig(t_max=1.0)
     w = _Window(seq, cfg, None)
     stp = _CayleyStepper(w, cfg)
-    w.y = stp._apply(h, w.y)
+    w.e, w.o = stp._apply(h)
     seen, swapped = set(), False
     # growths to odd and even sizes, one by a single site that adds no row
     # (247 -> 248), and one with a new step length (h / 2, 392 -> 395)
@@ -484,7 +601,7 @@ def test_factors_extend_across_window_growth(monkeypatch, seq, h, pivots):
         n0, old = w.n, dict(stp._factors)
         w.resize(n0 + grow)
         del rows[:]
-        w.y = stp._apply(hk, w.y)
+        w.e, w.o = stp._apply(hk)
         k, big = (n0 + 1) // 2, (w.n + 1) // 2
         want = []
         for weight in dict.fromkeys(stp.weights):
@@ -513,10 +630,11 @@ def test_extended_factors_evolve_as_fresh_ones(monkeypatch):
     kept = list(evolve(seq, cfg))
     apply, sizes = _CayleyStepper._apply, set()
 
-    def uncached(self, h, y):
+    def uncached(self, h):
         self._factors.clear()
-        sizes.add(len(y))
-        return apply(self, h, y)
+        self.plan = None
+        sizes.add(self.w.n - self.w.lo)
+        return apply(self, h)
 
     monkeypatch.setattr(_CayleyStepper, "_apply", uncached)
     fresh = list(evolve(seq, cfg))
@@ -540,9 +658,9 @@ def test_fewest_equal_steps_per_interval(lapack_calls, method, count):
     t = stp.advance(0.0, times[1])
     apply, steps = stp._apply, []
 
-    def spy(h, y):
+    def spy(h):
         steps.append(h)
-        return apply(h, y)
+        return apply(h)
 
     stp._apply = spy
     before = lapack_calls["dgttrs"]
@@ -573,7 +691,7 @@ def test_step_conserves_the_rate(b, seed, h):
         cfg = EvolveConfig(t_max=1.0, method=method)
         w = _Window(Explicit(tuple(b)), cfg, y)
         before = np.linalg.norm(_hop(w.off, y))
-        after = np.linalg.norm(_hop(w.off, _CayleyStepper(w, cfg)._apply(h, y)))
+        after = np.linalg.norm(_hop(w.off, _apply(_CayleyStepper(w, cfg), h, y)))
         assert abs(after - before) <= 1e-12 * before, method
 
 
@@ -733,16 +851,17 @@ def test_factor_reused_across_rounding_level_steps(lapack_calls):
     w = _Window(SykLike(1.0, 1.0), cfg, None)
     w.resize(64)
     stp = _CayleyStepper(w, cfg)
-    y1 = stp._apply(h1, w.y)
+    y0 = _sites(w)
+    y1 = _apply(stp, h1, y0)
     assert lapack_calls["dgttrf"] == len(set(stp.weights))
     # the second length, and any within 1e-12 relative, runs on the first
     # one's factors and c, so every stage is the same exact Cayley factor
     for h in (h2, h1 * (1.0 + 5e-13)):
-        assert np.array_equal(stp._apply(h, w.y), y1)
+        assert np.array_equal(_apply(stp, h, y0), y1)
     assert lapack_calls["dgttrf"] == len(set(stp.weights))
     # a step that really differs factors again
     h3 = h1 * (1.0 + 1e-9)
-    stp._apply(h3, w.y)
+    _apply(stp, h3, y0)
     assert lapack_calls["dgttrf"] == 2 * len(set(stp.weights))
     for weight, (c, _, _) in stp._factors.items():
         assert c == 0.5 * weight * h3
@@ -833,7 +952,7 @@ def test_front_grows_sooner_once_the_back_has_moved(lo):
     y[-1] = 5e-15 ** 0.5
     w = _Window(SqrtGrowth(1.0), cfg, y)
     if lo:
-        w.y, w.lo = y[lo:], lo
+        (w.e, w.o), w.lo = _split(y[lo:]), lo
     w.ensure_headroom()
     assert w.lo == lo
     assert w.n == (400 if lo == 0 else math.ceil(1.12 * 400) + cfg.guard_band)
@@ -897,7 +1016,7 @@ def test_trim_drops_the_empty_back_but_a_guard_band():
     y[150] = 2e-7  # takes the leading run past 1e-14
     y[300] = 1.0
     w = _Window(SykLike(1.0, 1.0), cfg, y)
-    assert w.accept(y, y, 0.0)
+    assert w.accept(*_split(y), 0.0)
     assert w.lo == 150 - cfg.guard_band and w.n == 400
     state = w.state(0.0)
     assert not state.amplitudes[: w.lo].any()
@@ -905,12 +1024,12 @@ def test_trim_drops_the_empty_back_but_a_guard_band():
     assert state.norm_error == pytest.approx(float(np.sum(y[w.lo :] ** 2)) - 1.0, abs=1e-15)
     # no trim of less than a quarter of the window, none that leaves under 64 sites
     w2 = _Window(SykLike(1.0, 1.0), cfg, y[w.lo - 40 :])
-    assert w2.accept(w2.y, w2.y, 0.0) and w2.lo == 0
+    assert w2.accept(w2.e, w2.o, 0.0) and w2.lo == 0
     for size, lo in ((80, 0), (100, 36)):
         short = np.zeros(size)
         short[-10] = 1.0
         w3 = _Window(SykLike(1.0, 1.0), cfg, short)
-        assert w3.accept(short, short, 0.0) and w3.lo == lo
+        assert w3.accept(*_split(short), 0.0) and w3.lo == lo
 
 
 def _trimmed_window(cfg):
@@ -920,7 +1039,7 @@ def _trimmed_window(cfg):
     y = np.zeros(1000)
     y[600] = 1.0
     w = _Window(SykLike(1.0, 1.0), cfg, y)
-    assert w.accept(w.y, w.y, 0.0) and (w.lo, w.n) == (592, 1000)
+    assert w.accept(w.e, w.o, 0.0) and (w.lo, w.n) == (592, 1000)
     return w
 
 
@@ -935,18 +1054,17 @@ def test_leading_guard_band_grows_the_back():
     def step(m):
         return math.ceil(1.12 * m) + cfg.guard_band - m
 
-    w.y = w.y.copy()
-    w.y[0] = 0.9e-7  # 8.1e-15: no growth yet
+    w.e[0] = 0.9e-7  # 8.1e-15: no growth yet
     w.ensure_headroom()
     assert w.lo == 592
-    w.y[0] = 2e-7
+    w.e[0] = 2e-7
     w.ensure_headroom()
     assert w.lo == 592 - step(408) == 535
-    y0 = w.y
+    y0, e0, o0 = _sites(w), w.e, w.o
     leak = y0.copy()
     leak[0] = 2e-6  # 4e-12 > truncation_tol
-    assert not w.accept(leak, y0, 0.5)
-    assert w.y is y0 and (w.lo, w.n) == (535, 1000)
+    assert not w.accept(*_split(leak), 0.5)
+    assert w.e is e0 and w.o is o0 and (w.lo, w.n) == (535, 1000)
     w.ensure_headroom()  # the check before the redo grows the back
     assert w.lo == 535 - step(465) == 471
     assert w.n == 1000 and w.state(0.5).amplitudes[592] == 2e-7
@@ -962,12 +1080,12 @@ def test_refused_step_grows_each_edge_its_sums_fill():
     # the front too, not only the back
     cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12)
     w = _trimmed_window(cfg)
-    y0 = w.y
+    y0, e0, o0 = _sites(w), w.e, w.o
     leak = y0.copy()
     leak[0] = 2e-6  # 4e-12 > truncation_tol
     leak[-1] = 1e-7
-    assert not w.accept(leak, y0, 0.5)
-    assert w.y is y0 and (w.lo, w.n) == (592, 1000)
+    assert not w.accept(*_split(leak), 0.5)
+    assert w.e is e0 and w.o is o0 and (w.lo, w.n) == (592, 1000)
     w.ensure_headroom()
     n = math.ceil(1.12 * 1000) + cfg.guard_band
     m = n - 592
@@ -991,7 +1109,7 @@ def test_headroom_measures_the_window_after_a_trim(monkeypatch):
     w.ensure_headroom()
     assert calls == [(592, 1000)]
     # a step that trims nothing leaves its sums, and the check takes them
-    assert w.accept(w.y.copy(), w.y, 0.1) and w.lo == 592
+    assert w.accept(w.e.copy(), w.o.copy(), 0.1) and w.lo == 592
     w.ensure_headroom()
     assert calls == [(592, 1000)]
 
@@ -1010,7 +1128,7 @@ def test_moved_back_steps_as_its_dense_cayley_factor(lapack_calls):
     w = _Window(seq, cfg, y)
     stp = _CayleyStepper(w, cfg)
     h = 0.01
-    assert w.accept(stp._apply(h, w.y), y, 0.0) and w.lo > 0
+    assert w.accept(*stp._apply(h), 0.0) and w.lo > 0
     windows = []
     for move in ("trim", "back and front", "back"):
         if move != "trim":
@@ -1019,12 +1137,12 @@ def test_moved_back_steps_as_its_dense_cayley_factor(lapack_calls):
             w.resize(w.n + 40)
         windows.append((w.lo, w.n))
         before = lapack_calls["dgttrf"]
-        got = stp._apply(h, w.y)
+        ref = _sites(w)
+        got = _interleaved(*stp._apply(h))
         assert lapack_calls["dgttrf"] - before == len(set(stp.weights)), move
         m = w.n - w.lo
         off = seq.b_array(w.n)[w.lo : w.n - 1]
         a = np.diag(off, -1) - np.diag(off, 1)
-        ref = w.y
         for weight in _COMPOSITIONS[cfg.method][0]:
             c = 0.5 * weight * h
             ref = np.linalg.solve(np.eye(m) - c * a, ref + c * (a @ ref))
@@ -1228,20 +1346,21 @@ def test_window_refuses_step_that_fills_guard_band():
 
     cfg = EvolveConfig(t_max=1.0, truncation_tol=1e-12, max_active_size=1000)
     w = _Window(SykLike(1.0, 1.0), cfg, None)
-    y0 = w.y
     n0 = w.n
-    ok = y0.copy()
+    ok = _sites(w)
     ok[-1] = 1e-7  # guard-band mass 1e-14 <= truncation_tol
-    assert w.accept(ok, y0, 0.5)
-    assert w.y is ok and w.n == n0
+    ok_e, ok_o = _split(ok)
+    assert w.accept(ok_e, ok_o, 0.5)
+    assert w.e is ok_e and w.o is ok_o and w.n == n0
     leak = ok.copy()
     leak[-1] = 1e-5  # guard-band mass 1e-10 > truncation_tol
-    assert not w.accept(leak, ok, 0.5)
-    assert w.y is ok and w.n == n0 and len(w.b) == n0
+    assert not w.accept(*_split(leak), 0.5)
+    assert w.e is ok_e and w.o is ok_o and w.n == n0 and len(w.b) == n0
     w.ensure_headroom()
     grown = active_window_policy(make_state(leak, t=0.5, tail=1e-10), cfg)
     assert grown > n0 and w.n == grown
-    assert np.array_equal(w.y[:n0], ok) and not w.y[n0:].any()
+    y = _sites(w)
+    assert np.array_equal(y[:n0], ok) and not y[n0:].any()
     assert len(w.b) == grown
     headroom = _Window(SykLike(1.0, 1.0), cfg, leak)
     headroom.ensure_headroom()

@@ -85,6 +85,38 @@ class TestComplexityEntropy:
         tol = math.log2(len(p)) * np.finfo(float).eps
         assert entropy_of_probabilities(p) == pytest.approx(exact, rel=tol)
 
+    def test_reductions_over_the_occupied_window_match_the_full_array(self):
+        # amplitudes[:lo] is zero, so reducing amplitudes[lo:] alone gives the
+        # full-array complexity and entropy to 1e-15 relative: on a packet far
+        # from site 0, and on a trimmed state of a run (lo = 1,252 at t = 40)
+        amps = np.zeros(5000)
+        amps[3000:3600] = np.random.default_rng(4).standard_normal(600)
+        amps /= np.linalg.norm(amps)
+        run = list(evolve(SqrtGrowth(1.0), EvolveConfig(t_max=40.0, samples=2)))[-1]
+        assert run.lo == 1252 and not run.amplitudes[: run.lo].any()
+        for state in (make_state(amps), run):
+            occupied = WaveState(state.t, state.amplitudes, state.active_size, 0.0, 0.0, lo=int(np.flatnonzero(state.amplitudes)[0]))
+            p = state.amplitudes ** 2
+            full_c = float(np.sum(np.arange(len(p)) * p))
+            full_s = float(-np.sum(p[p > 1e-300] * np.log(p[p > 1e-300])))
+            for st in (occupied, WaveState(state.t, state.amplitudes, state.active_size, 0.0, 0.0)):
+                assert complexity(st) == pytest.approx(full_c, rel=1e-15, abs=0.0)
+                assert entropy(st) == pytest.approx(full_s, rel=1e-15, abs=0.0)
+
+    def test_a_row_squares_the_amplitudes_once(self, monkeypatch):
+        from krylovchain import observables
+
+        squares, calls = observables._probabilities, []
+
+        def counted(state):
+            calls.append(state.t)
+            return squares(state)
+
+        monkeypatch.setattr(observables, "_probabilities", counted)
+        series = series_from_trajectory(evolve(SykLike(1.0, 1.0), EvolveConfig(t_max=1.0, samples=4)))
+        assert calls == list(series.times)
+        assert series.c_k[-1] == pytest.approx(math.sinh(1.0) ** 2, abs=1e-6)
+
     def test_entropy_bound(self):
         cfg = EvolveConfig(t_max=3.0, samples=12)
         for st in evolve(SykLike(1.0, 1.0), cfg):

@@ -161,6 +161,15 @@ def test_trace_attached():
     assert zs == pytest.approx([1e-2, 1e-3, 1e-4])
 
 
+def test_w_past_the_float_range_is_undetermined():
+    # every phi_0 of the ladder is inf: the reason names the overflow, and the
+    # trace keeps only finite pairs (here none)
+    cls = w_number(SykLike(1e-310, 1.0))
+    assert cls.verdict == "undetermined" and cls.value is None
+    assert "overflows float64" in cls.reason
+    assert cls.cf_trace == ()
+
+
 def test_undetermined_at_tiny_depth():
     cls = w_number(SykLike(1.0, 1.0), depth=16, tol=1e-12)
     assert cls.verdict == "undetermined"
