@@ -85,7 +85,9 @@ def complexity(state: WaveState, p: Optional[np.ndarray] = None) -> float:
     """
     if p is None:
         p = _probabilities(state)
-    return float(np.sum(np.arange(state.lo, state.lo + len(p)) * p))
+    weighted = np.arange(state.lo, state.lo + len(p), dtype=float)
+    weighted *= p  # in place: a sample holds no further window-sized array
+    return float(np.sum(weighted))
 
 
 def entropy(state: WaveState, p: Optional[np.ndarray] = None) -> float:
@@ -94,11 +96,12 @@ def entropy(state: WaveState, p: Optional[np.ndarray] = None) -> float:
 
 
 def entropy_of_probabilities(p: np.ndarray) -> float:
+    """-sum p ln p over p > 1e-300, the rest counting 0, with no copy of p."""
     p = np.asarray(p, dtype=float)
-    p = p[p > _UNDERFLOW_GUARD]
-    if len(p) == 0:
-        return 0.0
-    return float(-np.sum(p * np.log(p))) + 0.0
+    terms = np.zeros(len(p))
+    np.log(p, out=terms, where=p > _UNDERFLOW_GUARD)
+    terms *= p
+    return float(-np.sum(terms)) + 0.0
 
 
 def _row(st: WaveState) -> tuple:

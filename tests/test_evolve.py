@@ -43,11 +43,16 @@ from krylovchain.closedforms import (
 from krylovchain.evolve import METHODS, _split
 
 
-def _sites(w):
-    """The window's phi_lo..phi_{n-1} as one new interleaved array."""
-    y = np.empty(w.n - w.lo)
-    y[0::2], y[1::2] = w.e, w.o
+def _interleaved(e, o):
+    """The sites whose even ones are e and odd ones o, as one new array."""
+    y = np.empty(len(e) + len(o))
+    y[0::2], y[1::2] = e, o
     return y
+
+
+def _sites(w):
+    """The window's phi_lo..phi_{n-1}, interleaved."""
+    return _interleaved(w.e, w.o)
 
 
 def _apply(stp, h, y):
@@ -57,12 +62,6 @@ def _apply(stp, h, y):
     """
     stp.w.e, stp.w.o = _split(y)
     return _interleaved(*stp._apply(h))
-
-
-def _interleaved(e, o):
-    y = np.empty(len(e) + len(o))
-    y[0::2], y[1::2] = e, o
-    return y
 
 
 def make_state(amps, t=0.0, tail=0.0):
