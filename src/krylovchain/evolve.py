@@ -244,13 +244,6 @@ def _band(e: np.ndarray, o: np.ndarray, i: int, k: int) -> float:
     return float(a.dot(a) + b.dot(b))
 
 
-def _zero_padded(v: np.ndarray, size: int) -> np.ndarray:
-    """v followed by zeros up to size entries."""
-    out = np.zeros(size)
-    out[: len(v)] = v
-    return out
-
-
 def _grown(n: int, cfg: EvolveConfig) -> int:
     """The window growth rule: the size that follows n sites, before any cap."""
     return math.ceil(1.12 * n) + cfg.guard_band
@@ -373,7 +366,8 @@ class _Window:
         tail = self.seq.b_array(new_n - self.n, start=self.n + 1)
         tail = tail[: _finite_prefix(tail)]
         m = self.n - self.lo + len(tail)
-        e, o = _zero_padded(self.e, (m + 1) // 2), _zero_padded(self.o, m // 2)
+        e = np.concatenate((self.e, np.zeros((m + 1) // 2 - len(self.e))))
+        o = np.concatenate((self.o, np.zeros(m // 2 - len(self.o))))
         self.b = np.concatenate((self.b, tail))
         self.e, self.o = e, o
 
@@ -722,8 +716,8 @@ class _Plan:
     def __init__(self, at: tuple, stages: list, window: _Window):
         self.at = at
         self.stages = stages + [(0.0, None)]
-        off = window.off
-        p, q = off[0::2], off[1::2]
+        # contiguous copies: the stage's products run faster than on strided views
+        p, q = _split(window.off)
         # S's rows past the sites start at zero and stay so, as S's padding
         # rows are coupled to none
         r, t = np.zeros(len(stages[0][1][1])), np.empty(len(p))
